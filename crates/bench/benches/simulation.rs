@@ -21,11 +21,11 @@ use choco_bench::{
     choco_layer_circuit, choco_onehot_candidates, choco_onehot_stack, layer_circuit,
 };
 use choco_qsim::oracle::ScalarStateVector;
-use choco_qsim::{EngineKind, SimConfig, SimWorkspace, SparseStateVector, StateVector};
+use choco_qsim::{EngineKind, SimConfig, SimWorkspace, StateVector};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-/// Dense vs sparse on the confined Choco-Q layer: the crossover group
-/// behind `BENCH_simulation.json`'s `sparse_speedup_vs_dense` numbers.
+/// The dense engine on the confined Choco-Q layer (`choco_layer_dense` in
+/// `BENCH_simulation.json`).
 fn bench_choco_layer(c: &mut Criterion) {
     let mut group = c.benchmark_group("choco_layer");
     group.sample_size(10);
@@ -34,16 +34,13 @@ fn bench_choco_layer(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("dense", n), &circuit, |b, circuit| {
             b.iter(|| StateVector::run(std::hint::black_box(circuit)));
         });
-        group.bench_with_input(BenchmarkId::new("sparse", n), &circuit, |b, circuit| {
-            b.iter(|| SparseStateVector::run(std::hint::black_box(circuit)));
-        });
     }
     group.finish();
 }
 
 /// End-to-end optimizer-iteration cost: one warmed `SimWorkspace::run`
 /// of a two-layer multi-one-hot Choco-Q stack per engine — the group
-/// behind `BENCH_simulation.json`'s `compact_speedup_vs_sparse`.
+/// behind `BENCH_simulation.json`'s `compact_speedup_vs_dense`.
 fn bench_choco_iteration(c: &mut Criterion) {
     let mut group = c.benchmark_group("choco_iteration");
     group.sample_size(10);
@@ -51,7 +48,6 @@ fn bench_choco_iteration(c: &mut Criterion) {
         let stack = choco_onehot_stack(n, 2);
         for (label, engine) in [
             ("dense", EngineKind::Dense),
-            ("sparse", EngineKind::Sparse),
             ("compact", EngineKind::Compact),
         ] {
             let mut ws = SimWorkspace::new(SimConfig::default().with_engine(engine));
@@ -121,7 +117,7 @@ fn bench_statevector_workspace(c: &mut Criterion) {
     group.sample_size(20);
     for n in [10usize, 14, 18] {
         let circuit = layer_circuit(n);
-        let mut ws = SimWorkspace::new(SimConfig::default());
+        let mut ws = SimWorkspace::new(SimConfig::default().with_engine(EngineKind::Dense));
         ws.run(&circuit); // warmup: allocate the buffer, expand the diagonal
         group.bench_with_input(BenchmarkId::from_parameter(n), &circuit, |b, circuit| {
             b.iter(|| {
@@ -145,7 +141,7 @@ fn bench_sampling(c: &mut Criterion) {
             b.iter(|| state.sample(10_000, &mut rng));
         });
         // The workspace path amortizes the prefix-table build across calls.
-        let mut ws = SimWorkspace::new(SimConfig::default());
+        let mut ws = SimWorkspace::new(SimConfig::default().with_engine(EngineKind::Dense));
         ws.run(&circuit);
         let mut rng = StdRng::seed_from_u64(7);
         ws.sample(1, &mut rng); // build the table once

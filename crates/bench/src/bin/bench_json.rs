@@ -2,12 +2,12 @@
 //!
 //! Runs the state-vector kernels at n ∈ {10, 14, 18, 20} on three engines
 //! (scan-and-mask scalar baseline, strided fast path, workspace-backed
-//! solver path) plus per-kernel micro-measurements, a **dense vs sparse
-//! crossover group** on a subspace-confined Choco-Q layer at
-//! n ∈ {18, 22, 24}, and an **end-to-end optimizer-iteration group**
-//! (`choco_iteration_*`: one warmed `SimWorkspace::run` of a two-layer
-//! multi-one-hot Choco-Q stack on the dense, sparse, and compact
-//! engines — the `ns_per_iteration` behind `compact_speedup_vs_sparse`),
+//! solver path) plus per-kernel micro-measurements, the dense engine on a
+//! subspace-confined Choco-Q layer at n ∈ {18, 22, 24}, and an
+//! **end-to-end optimizer-iteration group** (`choco_iteration_*`: one
+//! warmed `SimWorkspace::run` of a two-layer multi-one-hot Choco-Q stack
+//! on the dense and compact engines — the `ns_per_iteration` behind
+//! `compact_speedup_vs_dense`),
 //! and writes `BENCH_simulation.json` so the perf trajectory stays
 //! comparable across PRs.
 //!
@@ -22,7 +22,7 @@ use choco_bench::{
 };
 use choco_core::{ChocoQConfig, ChocoQSolver, CommuteDriver};
 use choco_qsim::oracle::ScalarStateVector;
-use choco_qsim::{EngineKind, SimConfig, SimWorkspace, SparseStateVector, StateVector, UBlock};
+use choco_qsim::{EngineKind, SimConfig, SimWorkspace, StateVector, UBlock};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -68,7 +68,9 @@ fn main() {
     };
     let samples = 7;
     let budget_ms = 700.0;
-    let config = SimConfig::default();
+    // Kernel groups measure the dense engine; engine comparisons opt in
+    // to compact explicitly.
+    let config = SimConfig::default().with_engine(EngineKind::Dense);
     let mut entries: Vec<Entry> = Vec::new();
 
     for &n in sizes {
@@ -179,13 +181,13 @@ fn main() {
         });
     }
 
-    // Dense vs sparse crossover on the confined Choco-Q layer. Bigger
-    // registers than the generic group: this is exactly where the dense
-    // engine starts paying for the 2^n it does not need. The dense side
-    // gets a smaller sample count — one n = 24 run already costs seconds.
-    let sparse_sizes: &[usize] = if quick_mode() { &[14] } else { &[18, 22, 24] };
-    for &n in sparse_sizes {
-        eprintln!("measuring choco layer n = {n} (dense vs sparse) …");
+    // The dense engine on the confined Choco-Q layer. Bigger registers
+    // than the generic group: this is exactly where the dense engine
+    // starts paying for the 2^n it does not need. A small sample count —
+    // one n = 24 run already costs seconds.
+    let choco_sizes: &[usize] = if quick_mode() { &[14] } else { &[18, 22, 24] };
+    for &n in choco_sizes {
+        eprintln!("measuring choco layer n = {n} (dense) …");
         let layer = choco_layer_circuit(n);
         entries.push(Entry {
             group: "choco_layer_dense",
@@ -198,29 +200,16 @@ fn main() {
                 budget_ms,
             ),
         });
-        entries.push(Entry {
-            group: "choco_layer_sparse",
-            n,
-            ns_per_op: measure(
-                || {
-                    std::hint::black_box(SparseStateVector::run_with(&layer, config));
-                },
-                samples,
-                budget_ms / 2.0,
-            ),
-        });
     }
 
     // Whole-iteration cost per engine: what one optimizer evaluation
     // pays, workspace-warmed (buffers allocated, plans compiled) — so
-    // dense measures buffer-reuse replay, sparse measures per-gate map
-    // churn + support rediscovery, compact measures plan replay.
-    for &n in sparse_sizes {
-        eprintln!("measuring choco iteration n = {n} (dense vs sparse vs compact) …");
+    // dense measures buffer-reuse replay and compact measures plan replay.
+    for &n in choco_sizes {
+        eprintln!("measuring choco iteration n = {n} (dense vs compact) …");
         let stack = choco_onehot_stack(n, 2);
         for (group, engine, samples_here) in [
             ("choco_iteration_dense", EngineKind::Dense, 3),
-            ("choco_iteration_sparse", EngineKind::Sparse, samples),
             ("choco_iteration_compact", EngineKind::Compact, samples),
         ] {
             let mut ws = SimWorkspace::new(config.with_engine(engine));
@@ -602,42 +591,21 @@ fn main() {
         }
     }
     json.push_str(&lines.join(",\n"));
-    json.push_str("\n  },\n  \"sparse_speedup_vs_dense\": {\n");
+    json.push_str("\n  },\n  \"compact_speedup_vs_dense\": {\n");
     let mut lines = Vec::new();
-    for &n in sparse_sizes {
+    for &n in choco_sizes {
         let find = |g: &str| {
             entries
                 .iter()
                 .find(|e| e.group == g && e.n == n)
                 .map(|e| e.ns_per_op)
         };
-        if let (Some(dense), Some(sparse)) = (find("choco_layer_dense"), find("choco_layer_sparse"))
-        {
-            lines.push(format!(
-                "    \"choco_layer/{n}\": {{\"sparse\": {:.1}}}",
-                dense / sparse
-            ));
-        }
-    }
-    json.push_str(&lines.join(",\n"));
-    json.push_str("\n  },\n  \"compact_speedup_vs_sparse\": {\n");
-    let mut lines = Vec::new();
-    for &n in sparse_sizes {
-        let find = |g: &str| {
-            entries
-                .iter()
-                .find(|e| e.group == g && e.n == n)
-                .map(|e| e.ns_per_op)
-        };
-        if let (Some(dense), Some(sparse), Some(compact)) = (
+        if let (Some(dense), Some(compact)) = (
             find("choco_iteration_dense"),
-            find("choco_iteration_sparse"),
             find("choco_iteration_compact"),
         ) {
             lines.push(format!(
-                "    \"choco_iteration/{n}\": {{\"compact_vs_sparse\": {:.1}, \
-                 \"compact_vs_dense\": {:.1}}}",
-                sparse / compact,
+                "    \"choco_iteration/{n}\": {{\"compact_vs_dense\": {:.1}}}",
                 dense / compact
             ));
         }

@@ -1,7 +1,7 @@
 //! Circuit-level analyses used by the evaluation section.
 
 use crate::driver::CommuteDriver;
-use choco_qsim::{transpile, Circuit, SimConfig, SimEngine, TranspileOptions};
+use choco_qsim::{transpile, Circuit, EngineKind, SimConfig, SimWorkspace, TranspileOptions};
 use std::time::{Duration, Instant};
 
 /// The number of basis states with probability above `eps` after each gate
@@ -10,23 +10,24 @@ use std::time::{Duration, Instant};
 ///
 /// Index 0 is the initial state (always 1 for a basis-state start).
 pub fn support_profile(circuit: &Circuit, eps: f64) -> Vec<usize> {
-    support_profile_with(circuit, eps, SimConfig::serial())
+    support_profile_with(
+        circuit,
+        eps,
+        SimConfig::serial().with_engine(EngineKind::Dense),
+    )
 }
 
-/// [`support_profile`] on an explicit engine configuration. With a sparse
-/// engine the per-gate count reads the occupied-entry list instead of
-/// scanning (or even allocating) the `2^n` register — this is how the
-/// fig09b harness profiles Choco-Q circuits at widths the dense engine
-/// cannot hold. All engines report identical counts where they can run
-/// (their amplitudes are bit-identical).
+/// [`support_profile`] on an explicit engine configuration. On the
+/// compact engine the per-gate count scans the `|F|` feasible amplitudes
+/// of the compiled plan, replayed step by step, instead of the `2^n`
+/// register — this is how the fig09b harness profiles Choco-Q circuits
+/// at widths the dense engine cannot hold. Both engines report identical
+/// counts where they can run (their amplitudes are bit-identical).
 pub fn support_profile_with(circuit: &Circuit, eps: f64, config: SimConfig) -> Vec<usize> {
-    let mut engine = SimEngine::new_with(circuit.n_qubits(), config);
     let mut profile = Vec::with_capacity(circuit.len() + 1);
-    profile.push(engine.support_size(eps));
-    for gate in circuit.iter() {
-        engine.apply_gate(gate);
-        profile.push(engine.support_size(eps));
-    }
+    SimWorkspace::new(config).run_observed(circuit, |state| {
+        profile.push(state.support_size(eps));
+    });
     profile
 }
 
@@ -90,7 +91,6 @@ mod tests {
 
     #[test]
     fn support_profile_identical_across_engines() {
-        use choco_qsim::EngineKind;
         let driver = ring_driver(5);
         let mut c = Circuit::new(5);
         c.load_bits(0b00001);
@@ -98,10 +98,8 @@ mod tests {
             c.ublock(block);
         }
         let dense = support_profile(&c, 1e-9);
-        for kind in [EngineKind::Sparse, EngineKind::Compact, EngineKind::Auto] {
-            let config = SimConfig::serial().with_engine(kind);
-            assert_eq!(support_profile_with(&c, 1e-9, config), dense, "{kind}");
-        }
+        let compact = SimConfig::serial().with_engine(EngineKind::Compact);
+        assert_eq!(support_profile_with(&c, 1e-9, compact), dense);
     }
 
     #[test]

@@ -352,8 +352,8 @@ impl ChocoQSolver {
         problem: &Problem,
         workspace: &mut SimWorkspace,
     ) -> Result<SolveOutcome, SolverError> {
-        // Size gate follows the workspace's engine: the sparse engines
-        // accept feasible-subspace instances the dense buffer cannot hold.
+        // Size gate follows the workspace's engine: the compact engine
+        // accepts feasible-subspace instances the dense buffer cannot hold.
         // Native-inequality instances are admitted by their *encoded*
         // width — decision variables plus the slack registers the driver
         // layer will synthesize (identical to `n_vars` otherwise).
@@ -392,7 +392,7 @@ impl ChocoQSolver {
             cost_poly: Arc<PhasePoly>,
             /// Materialized `2^n` cost table — only for registers the
             /// dense engine could also hold, so the table keeps engine
-            /// results bit-identical. Wider (sparse-only) branches use
+            /// results bit-identical. Wider (compact-only) branches use
             /// the polynomial directly.
             cost_values: Option<Vec<f64>>,
         }
@@ -858,7 +858,8 @@ mod tests {
         // allowed per register width.
         let problem = paper_problem();
         let solver = ChocoQSolver::new(ChocoQConfig::fast_test());
-        let mut workspace = SimWorkspace::new(SimConfig::serial());
+        let dense = SimConfig::serial().with_engine(choco_qsim::EngineKind::Dense);
+        let mut workspace = SimWorkspace::new(dense);
         solver
             .solve_with_workspace(&problem, &mut workspace)
             .unwrap();
@@ -882,12 +883,11 @@ mod tests {
         use choco_qsim::EngineKind;
         let problem = paper_problem();
         let solver = ChocoQSolver::new(ChocoQConfig::fast_test());
-        let mut dense_ws = SimWorkspace::new(SimConfig::serial());
+        let mut dense_ws = SimWorkspace::new(SimConfig::serial().with_engine(EngineKind::Dense));
         let dense = solver
             .solve_with_workspace(&problem, &mut dense_ws)
             .unwrap();
-        let mut compact_ws =
-            SimWorkspace::new(SimConfig::serial().with_engine(EngineKind::Compact));
+        let mut compact_ws = SimWorkspace::new(SimConfig::serial());
         let compact = solver
             .solve_with_workspace(&problem, &mut compact_ws)
             .unwrap();
@@ -1071,6 +1071,7 @@ mod tests {
         // And the parallel compact solve matches the serial dense solve.
         let serial = ChocoQSolver::new(ChocoQConfig {
             restart_workers: 1,
+            sim: SimConfig::serial().with_engine(EngineKind::Dense),
             ..config
         })
         .solve(&problem)
@@ -1231,17 +1232,19 @@ mod tests {
     fn native_inequality_solve_is_engine_and_worker_invariant() {
         use choco_qsim::EngineKind;
         let p = knapsack_problem();
-        let config = ChocoQConfig::fast_test();
+        let config = ChocoQConfig {
+            sim: SimConfig::serial().with_engine(EngineKind::Dense),
+            ..ChocoQConfig::fast_test()
+        };
         let dense = ChocoQSolver::new(config.clone()).solve(&p).unwrap();
-        for kind in [EngineKind::Sparse, EngineKind::Compact] {
-            let mut ws = SimWorkspace::new(SimConfig::serial().with_engine(kind));
-            let other = ChocoQSolver::new(config.clone())
-                .solve_with_workspace(&p, &mut ws)
-                .unwrap();
-            assert_eq!(dense.counts, other.counts, "{kind:?}");
-            assert_eq!(dense.cost_history, other.cost_history, "{kind:?}");
-            assert_eq!(dense.iterations, other.iterations, "{kind:?}");
-        }
+        let mut ws = SimWorkspace::new(SimConfig::serial());
+        let compact = ChocoQSolver::new(config.clone())
+            .solve_with_workspace(&p, &mut ws)
+            .unwrap();
+        assert!(ws.state().is_some_and(|s| s.is_compact()));
+        assert_eq!(dense.counts, compact.counts);
+        assert_eq!(dense.cost_history, compact.cost_history);
+        assert_eq!(dense.iterations, compact.iterations);
         for workers in [2usize, 4] {
             let parallel = ChocoQSolver::new(ChocoQConfig {
                 restart_workers: workers,

@@ -226,6 +226,12 @@ impl LinSystem {
         self.eqs.len()
     }
 
+    /// Number of rows of every kind: equations plus `≤` rows.
+    #[inline]
+    pub fn n_rows(&self) -> usize {
+        self.eqs.len() + self.ineqs.len()
+    }
+
     /// `true` if there are no equations (there may still be inequality rows).
     #[inline]
     pub fn is_empty(&self) -> bool {

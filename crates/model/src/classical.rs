@@ -186,6 +186,9 @@ impl BranchAndBound {
         struct Ctx<'a> {
             n: usize,
             m: usize,
+            /// The full system: leaves must satisfy its `<=` rows too
+            /// (the residual intervals only track equations).
+            rows: &'a choco_mathkit::LinSystem,
             coeff: &'a [Vec<i64>],
             suf_min: &'a [Vec<i64>],
             suf_max: &'a [Vec<i64>],
@@ -200,7 +203,10 @@ impl BranchAndBound {
         fn dfs(ctx: &mut Ctx<'_>, i: usize, bits: u64, partial_cost: f64, residual: &mut [i64]) {
             ctx.stats.nodes += 1;
             if i == ctx.n {
-                if residual.iter().all(|&r| r == 0) && partial_cost < ctx.best_cost - 1e-12 {
+                if residual.iter().all(|&r| r == 0)
+                    && partial_cost < ctx.best_cost - 1e-12
+                    && ctx.rows.is_satisfied_bits(bits)
+                {
                     ctx.best_cost = partial_cost;
                     ctx.best_bits = Some(bits);
                 }
@@ -249,6 +255,7 @@ impl BranchAndBound {
         let mut ctx = Ctx {
             n,
             m,
+            rows: problem.constraints(),
             coeff: &coeff,
             suf_min: &suf_min,
             suf_max: &suf_max,
@@ -359,6 +366,24 @@ mod tests {
             BranchAndBound::new().solve(&p).unwrap_err(),
             ClassicalError::Infeasible
         );
+    }
+
+    #[test]
+    fn bnb_respects_less_equal_rows() {
+        // Maximize a + b + c under a + b + c <= 1: with the `<=` row
+        // ignored the search would return all three items.
+        let p = Problem::builder(3)
+            .maximize()
+            .linear(0, 1.0)
+            .linear(1, 2.0)
+            .linear(2, 3.0)
+            .less_equal([(0, 1), (1, 1), (2, 1)], 1)
+            .build()
+            .unwrap();
+        let (bits, value) = BranchAndBound::new().solve(&p).unwrap();
+        assert_eq!((bits, value), (0b100, 3.0));
+        assert!(p.constraints().is_satisfied_bits(bits));
+        assert_eq!(value, solve_exact(&p).unwrap().value);
     }
 
     #[test]

@@ -317,10 +317,22 @@ mod tests {
         let suite = BenchmarkSuite::standard();
         let counts: Vec<usize> = suite
             .iter()
-            .map(|c| c.problem.constraints().len())
+            .map(|c| c.problem.constraints().n_rows())
             .collect();
         assert_eq!(*counts.iter().min().unwrap(), 3); // F1
         assert!(*counts.iter().max().unwrap() >= 12); // G4-scale
+
+        // Native classes count their `<=` rows too (B*n has no equation).
+        for case in BenchmarkSuite::native().iter() {
+            let rows = case.problem.constraints();
+            assert!(rows.n_rows() > 0, "{}", case.id);
+            assert_eq!(
+                rows.n_rows(),
+                rows.len() + rows.ineqs().len(),
+                "{}",
+                case.id
+            );
+        }
     }
 
     #[test]

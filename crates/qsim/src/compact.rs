@@ -1,20 +1,18 @@
 //! The rank-indexed compact engine's state representation.
 //!
-//! Where the sparse engine stores `(basis index, amplitude)` entries and
-//! pays lookup/insert churn per gate, the compact engine stores a dense
-//! `Vec<Complex64>` of length `|F|`, indexed by the *rank* of each
-//! feasible basis state in the sorted feasible basis `F` that
-//! the gate-plan compiler enumerated at compile time. All per-gate work happens
+//! Choco-Q states never leave the feasible subspace, so the compact
+//! engine stores a dense `Vec<Complex64>` of length `|F|`, indexed by the
+//! *rank* of each feasible basis state in the sorted feasible basis `F`
+//! that the gate-plan compiler enumerated at compile time. All per-gate work happens
 //! through the plan's precomputed rank tables; this type only owns the
 //! amplitude array and implements the solver-facing read operations
 //! (amplitudes, expectations, sampling, support counting).
 //!
-//! Structural slots the sparse engine pruned hold exact complex zeros
-//! here. Every read operation either skips them (mirroring the sparse
-//! engine's entry iteration term for term, so sums stay bit-identical) or
-//! lets them contribute exact IEEE zeros (the cumulative sampling table),
-//! which keeps amplitudes, expectations, and sample streams bit-identical
-//! across all three engines.
+//! Structural slots that are numerically zero hold exact complex zeros.
+//! Every read operation either skips them (summing the non-zero entries
+//! in basis order) or lets them contribute exact IEEE zeros (the
+//! cumulative sampling table), which keeps amplitudes and sample streams
+//! bit-identical to the dense engine.
 
 use crate::counts::Counts;
 use crate::phasepoly::PhasePoly;
@@ -103,17 +101,8 @@ impl CompactStateVector {
         &mut self.amps
     }
 
-    /// Size of the feasible basis `|F|` — the engine's storage footprint,
-    /// as opposed to [`CompactStateVector::occupancy`] which counts only
-    /// numerically non-zero amplitudes.
-    #[inline]
-    pub fn basis_len(&self) -> usize {
-        self.basis.len()
-    }
-
-    /// Number of exactly non-zero amplitudes. Equals the sparse engine's
-    /// occupancy (amplitudes are bit-identical across engines; the sparse
-    /// engine prunes exact zeros).
+    /// Number of exactly non-zero amplitudes. Equals the dense engine's
+    /// occupancy (amplitudes are bit-identical across engines).
     pub fn occupancy(&self) -> usize {
         self.amps
             .iter()
@@ -121,13 +110,8 @@ impl CompactStateVector {
             .count()
     }
 
-    /// Occupied fraction of the `2^n` register.
-    pub fn density(&self) -> f64 {
-        self.occupancy() as f64 / (1u64 << self.n_qubits) as f64
-    }
-
     /// The non-zero entries `(basis index, amplitude)` in basis order —
-    /// exactly the sparse engine's entry list for the same state.
+    /// exactly the dense state's non-zero amplitudes for the same circuit.
     pub fn entries(&self) -> Vec<(u64, Complex64)> {
         self.basis
             .iter()
@@ -156,8 +140,8 @@ impl CompactStateVector {
         self.amps.iter().filter(|a| a.norm_sqr() > eps).count()
     }
 
-    /// Total probability (should be 1 up to rounding). Skips exact zeros
-    /// so the sum has the same term sequence as the sparse engine's.
+    /// Total probability (should be 1 up to rounding), summed over the
+    /// non-zero entries in basis order.
     pub fn norm_sqr(&self) -> f64 {
         self.amps
             .iter()
@@ -166,9 +150,8 @@ impl CompactStateVector {
             .sum()
     }
 
-    /// Expectation of a diagonal observable given a `2^n` value table.
-    /// Bit-identical to the other engines: the term sequence equals the
-    /// sparse engine's occupied-entry iteration.
+    /// Expectation of a diagonal observable given a `2^n` value table,
+    /// summed over the non-zero entries in basis order.
     ///
     /// # Panics
     ///
@@ -200,7 +183,7 @@ impl CompactStateVector {
 
     /// Fills `out` with the cumulative probability over all `|F|` ranks
     /// (ascending basis index). Zero slots add exact IEEE zeros, so the
-    /// values at occupied slots match the other engines' tables
+    /// values at occupied slots match the dense engine's table
     /// bit-for-bit — which keeps sample streams identical.
     pub fn fill_cumulative(&self, out: &mut Vec<f64>) {
         out.clear();
@@ -234,8 +217,7 @@ impl CompactStateVector {
             let r: f64 = rng.gen::<f64>() * total;
             let bits = if r == 0.0 {
                 // The dense table's partition_point lands on basis index 0
-                // for r = 0; mirror that endpoint exactly (as the sparse
-                // engine does).
+                // for r = 0; mirror that endpoint exactly.
                 0
             } else {
                 let slot = cumulative.partition_point(|&c| c < r);
@@ -262,7 +244,7 @@ mod tests {
     use crate::circuit::Circuit;
     use crate::gate::UBlock;
     use crate::plan::GatePlan;
-    use crate::sparse::SparseStateVector;
+    use crate::state::StateVector;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -289,51 +271,64 @@ mod tests {
         c
     }
 
+    /// The dense state's non-zero entries in basis order.
+    fn dense_entries(dense: &StateVector) -> Vec<(u64, Complex64)> {
+        (0..1u64 << dense.n_qubits())
+            .map(|bits| (bits, dense.amplitude(bits)))
+            .filter(|(_, a)| a.re != 0.0 || a.im != 0.0)
+            .collect()
+    }
+
     #[test]
-    fn reads_match_sparse_bitwise() {
+    fn reads_match_dense_bitwise() {
         let circuit = confined();
         let compact = run_compact(&circuit);
-        let sparse = SparseStateVector::run(&circuit);
+        let dense = StateVector::run(&circuit);
         for bits in 0..16u64 {
-            let (a, b) = (compact.amplitude(bits), sparse.amplitude(bits));
+            let (a, b) = (compact.amplitude(bits), dense.amplitude(bits));
             assert!(a.re == b.re && a.im == b.im, "bits={bits}");
         }
-        assert_eq!(compact.occupancy(), sparse.occupancy());
-        assert_eq!(compact.entries(), sparse.entries().to_vec());
-        assert_eq!(compact.support_size(1e-9), sparse.support_size(1e-9));
+        assert_eq!(compact.occupancy(), dense.occupancy());
+        assert_eq!(compact.entries(), dense_entries(&dense));
+        assert_eq!(compact.support_size(1e-9), dense.support_size(1e-9));
         assert!((compact.norm_sqr() - 1.0).abs() < 1e-12);
     }
 
     #[test]
-    fn expectations_are_bit_identical_to_sparse() {
+    fn expectations_equal_the_dense_nonzero_sum() {
+        // The reference sum runs over the dense state's non-zero entries
+        // in basis order — the compact engine's term sequence.
         let circuit = confined();
         let compact = run_compact(&circuit);
-        let sparse = SparseStateVector::run(&circuit);
+        let entries = dense_entries(&StateVector::run(&circuit));
         let mut poly = PhasePoly::new(4);
         poly.add_linear(2, -1.5);
         poly.add_quadratic(0, 1, 0.7);
         let table: Vec<f64> = (0..16u64).map(|b| poly.eval_bits(b)).collect();
+        let reference = |value: &dyn Fn(u64) -> f64| -> f64 {
+            entries
+                .iter()
+                .map(|&(bits, a)| a.norm_sqr() * value(bits))
+                .sum()
+        };
         assert_eq!(
             compact.expectation_diag_values(&table),
-            sparse.expectation_diag_values(&table)
+            reference(&|bits| table[bits as usize])
         );
         assert_eq!(
             compact.expectation_diag_poly(&poly),
-            sparse.expectation_diag_poly(&poly)
+            reference(&|bits| poly.eval_bits(bits))
         );
     }
 
     #[test]
-    fn sample_stream_is_identical_to_sparse() {
+    fn sample_stream_is_identical_to_dense() {
         let circuit = confined();
         let compact = run_compact(&circuit);
-        let sparse = SparseStateVector::run(&circuit);
+        let dense = StateVector::run(&circuit);
         let mut ra = StdRng::seed_from_u64(17);
         let mut rb = StdRng::seed_from_u64(17);
-        assert_eq!(
-            compact.sample(5_000, &mut ra),
-            sparse.sample(5_000, &mut rb)
-        );
+        assert_eq!(compact.sample(5_000, &mut ra), dense.sample(5_000, &mut rb));
     }
 
     #[test]

@@ -1,99 +1,74 @@
-//! The engine abstraction: one solver-facing state type over the dense
-//! strided [`StateVector`], the feasible-subspace [`SparseStateVector`],
-//! or the rank-indexed [`CompactStateVector`], selected by
-//! [`SimConfig::engine`].
+//! The solver-facing result type: the state a [`crate::SimWorkspace`] run
+//! left behind, held either in the dense strided [`StateVector`] or in
+//! the rank-indexed [`CompactStateVector`].
 //!
-//! Everything above the kernels — [`crate::SimWorkspace`], the solvers'
-//! variational loop, the experiment runner, and the CLI — drives a
-//! [`SimEngine`] and never names a concrete representation. The engines
-//! produce bit-identical amplitudes, expectations, and sampling streams
-//! (see [`crate::sparse`] and [`crate::compact`]), so engine selection is
+//! Everything above the kernels — the solvers' variational loop, the
+//! experiment runner, and the CLI — reads a [`SimEngine`] and never names
+//! a concrete representation. The two representations produce
+//! bit-identical amplitudes, probabilities and sampling streams (see
+//! [`crate::compact`]), so engine selection ([`SimConfig::engine`]) is
 //! purely a performance decision:
 //!
-//! * [`EngineKind::Dense`] — always the `2^n` buffer.
-//! * [`EngineKind::Sparse`] — always the sorted occupied-entry map; the
-//!   caller has opted in even for register-filling circuits.
-//! * [`EngineKind::Compact`] — the plan-replay engine. Its fast path
-//!   lives in [`crate::SimWorkspace::run`] (whole-circuit replay against
-//!   a compiled gate plan); in the *incremental* per-gate API here it
-//!   starts sparse and densifies at the occupancy threshold exactly like
-//!   [`EngineKind::Auto`] — the clean fallback for circuits whose shape
-//!   did not compile.
-//! * [`EngineKind::Auto`] — starts sparse and **densifies automatically**
-//!   once occupancy exceeds `density_threshold · 2^n` (subspace
-//!   confinement broken — penalty/HEA mixers, uniform superpositions),
-//!   provided the register is small enough to allocate densely.
+//! * [`EngineKind::Compact`] (the default) — the workspace compiles each
+//!   circuit shape into a gate plan over its feasible basis and replays
+//!   it. A shape whose structural support crosses the occupancy
+//!   threshold runs on the dense engine instead, as long as the register
+//!   is at most [`MAX_DENSIFY_QUBITS`] wide.
+//! * [`EngineKind::Dense`] — always the `2^n` buffer; the reference the
+//!   tests compare the compact engine against.
+//!
+//! Per-gate mutation exists only on the dense [`StateVector`]; a
+//! [`SimEngine`] is read-only.
 
-use crate::circuit::Circuit;
 use crate::compact::CompactStateVector;
 use crate::counts::Counts;
-use crate::gate::Gate;
 use crate::phasepoly::PhasePoly;
-use crate::simconfig::{EngineKind, SimConfig};
-use crate::sparse::SparseStateVector;
+#[cfg(doc)]
+use crate::simconfig::EngineKind;
+use crate::simconfig::SimConfig;
 use crate::state::StateVector;
 use choco_mathkit::Complex64;
 use rand::Rng;
 
-/// Largest register the auto-fallback will densify: beyond this the dense
-/// buffer itself is the bottleneck (2^26 amplitudes = 1 GiB), so an
-/// [`EngineKind::Auto`] run stays sparse even above the threshold.
+/// Largest register the compact engine falls back to dense for: beyond
+/// this the dense buffer itself is the bottleneck (2^26 amplitudes =
+/// 1 GiB), so wider shapes always compile, whatever their support.
 pub const MAX_DENSIFY_QUBITS: usize = 26;
+
+/// Widest register the compact engine accepts: basis indices are `u64`
+/// bit patterns and the circuit IR stops at 30 qubits, but the compact
+/// representation has no `2^n` buffer, so it takes the IR's full width.
+pub const MAX_COMPACT_QUBITS: usize = 30;
 
 /// A quantum state behind one of the two amplitude representations.
 ///
 /// # Examples
 ///
 /// ```
-/// use choco_qsim::{Circuit, EngineKind, SimConfig, SimEngine, UBlock};
+/// use choco_qsim::{Circuit, SimConfig, SimWorkspace, UBlock};
 ///
-/// let config = SimConfig::serial().with_engine(EngineKind::Sparse);
-/// let mut engine = SimEngine::new_with(3, config);
+/// let mut ws = SimWorkspace::new(SimConfig::serial());
 /// let mut c = Circuit::new(3);
 /// c.load_bits(0b001);
 /// c.ublock(UBlock::from_u_with_angle(&[1, -1, -1], 0.8));
-/// engine.apply_circuit(&c);
-/// assert!(engine.is_sparse());
-/// assert_eq!(engine.occupancy(), 2); // |F|-confined, not 2^3
+/// let state = ws.run(&c);
+/// assert!(state.is_compact());
+/// assert_eq!(state.occupancy(), 2); // |F|-confined, not 2^3
 /// ```
 #[derive(Clone, Debug)]
 pub enum SimEngine {
     /// The dense strided engine.
     Dense(StateVector),
-    /// The feasible-subspace sparse engine.
-    Sparse(SparseStateVector),
     /// The rank-indexed compact engine (built by
-    /// [`crate::SimWorkspace`]'s plan replay; the per-gate API degrades
-    /// it to sparse on first mutation).
+    /// [`crate::SimWorkspace`]'s plan replay).
     Compact(CompactStateVector),
 }
 
 impl SimEngine {
-    /// The all-zeros state `|0…0⟩`, represented per `config.engine`
-    /// ([`EngineKind::Auto`] and [`EngineKind::Compact`] start sparse —
-    /// the compact representation only materializes through
-    /// [`crate::SimWorkspace`]'s whole-circuit plan replay).
-    pub fn new_with(n_qubits: usize, config: SimConfig) -> Self {
-        match config.engine {
-            EngineKind::Dense => SimEngine::Dense(StateVector::new_with(n_qubits, config)),
-            EngineKind::Sparse | EngineKind::Compact | EngineKind::Auto => {
-                SimEngine::Sparse(SparseStateVector::new_with(n_qubits, config))
-            }
-        }
-    }
-
-    /// Runs a circuit from `|0…0⟩` under an explicit configuration.
-    pub fn run_with(circuit: &Circuit, config: SimConfig) -> Self {
-        let mut e = SimEngine::new_with(circuit.n_qubits(), config);
-        e.apply_circuit(circuit);
-        e
-    }
-
     /// The execution configuration.
     pub fn config(&self) -> &SimConfig {
         match self {
             SimEngine::Dense(s) => s.config(),
-            SimEngine::Sparse(s) => s.config(),
             SimEngine::Compact(s) => s.config(),
         }
     }
@@ -102,14 +77,8 @@ impl SimEngine {
     pub fn n_qubits(&self) -> usize {
         match self {
             SimEngine::Dense(s) => s.n_qubits(),
-            SimEngine::Sparse(s) => s.n_qubits(),
             SimEngine::Compact(s) => s.n_qubits(),
         }
-    }
-
-    /// `true` while the state is held in the sparse representation.
-    pub fn is_sparse(&self) -> bool {
-        matches!(self, SimEngine::Sparse(_))
     }
 
     /// `true` while the state is held in the compact (rank-indexed)
@@ -118,13 +87,12 @@ impl SimEngine {
         matches!(self, SimEngine::Compact(_))
     }
 
-    /// Short label of the current representation (`"dense"`, `"sparse"`,
-    /// `"compact"`) — what [`EngineKind::Auto`] / [`EngineKind::Compact`]
-    /// actually resolved to, as opposed to what was configured.
+    /// Short label of the representation (`"dense"`, `"compact"`) — what
+    /// the run resolved to, as opposed to what was configured (a compact
+    /// configuration runs register-filling shapes on the dense engine).
     pub fn representation_label(&self) -> &'static str {
         match self {
             SimEngine::Dense(_) => "dense",
-            SimEngine::Sparse(_) => "sparse",
             SimEngine::Compact(_) => "compact",
         }
     }
@@ -133,126 +101,17 @@ impl SimEngine {
     pub fn as_dense(&self) -> Option<&StateVector> {
         match self {
             SimEngine::Dense(s) => Some(s),
-            _ => None,
+            SimEngine::Compact(_) => None,
         }
     }
 
-    /// Mutable dense state, if that is the current representation.
-    pub fn as_dense_mut(&mut self) -> Option<&mut StateVector> {
-        match self {
-            SimEngine::Dense(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Number of occupied (exactly non-zero) basis entries. For the
-    /// sparse engine this is the stored entry count; the dense and
-    /// compact engines scan their buffers. Engine-invariant: amplitudes
-    /// are bit-identical across representations, so the count is too.
+    /// Number of occupied (exactly non-zero) basis entries.
+    /// Engine-invariant: amplitudes are bit-identical across
+    /// representations, so the count is too.
     pub fn occupancy(&self) -> usize {
         match self {
             SimEngine::Dense(s) => s.occupancy(),
-            SimEngine::Sparse(s) => s.occupancy(),
             SimEngine::Compact(s) => s.occupancy(),
-        }
-    }
-
-    /// Occupied fraction of the `2^n` register.
-    pub fn density(&self) -> f64 {
-        self.occupancy() as f64 / (1u64 << self.n_qubits()) as f64
-    }
-
-    /// Resets to `|0…0⟩` in place. The representation is **sticky**: an
-    /// auto-run that fell back to dense stays dense for subsequent runs —
-    /// the workload has shown its support fills the register, and
-    /// re-starting sparse would re-pay the occupancy ramp plus a fresh
-    /// `2^n` densify allocation on every variational iteration. (A dense
-    /// reset reuses the buffer in place, preserving the workspace's
-    /// zero-alloc-per-iteration invariant; fresh engines — new width, new
-    /// workspace — still start sparse per the configuration.)
-    pub fn reset_zero(&mut self) {
-        match self {
-            SimEngine::Dense(s) => s.reset_zero(),
-            SimEngine::Sparse(s) => s.reset_zero(),
-            SimEngine::Compact(s) => s.reset_zero(),
-        }
-    }
-
-    /// Applies a single gate, then (for [`EngineKind::Auto`] /
-    /// [`EngineKind::Compact`]) densifies if the occupancy crossed the
-    /// configured threshold. A compact state degrades to sparse first:
-    /// the rank tables that drove it belong to a whole-circuit plan, not
-    /// to incremental mutation.
-    pub fn apply_gate(&mut self, gate: &Gate) {
-        if self.is_compact() {
-            self.sparsify();
-        }
-        match self {
-            SimEngine::Dense(s) => s.apply_gate(gate),
-            SimEngine::Sparse(s) => {
-                s.apply_gate(gate);
-                self.maybe_densify();
-            }
-            SimEngine::Compact(_) => unreachable!("compact states sparsify before mutation"),
-        }
-    }
-
-    /// Converts a compact state into the sparse representation in place
-    /// (exact: the non-zero entries become the sparse entry list).
-    fn sparsify(&mut self) {
-        if let SimEngine::Compact(c) = self {
-            let sparse =
-                SparseStateVector::from_sorted_entries(c.n_qubits(), c.entries(), *c.config());
-            *self = SimEngine::Sparse(sparse);
-        }
-    }
-
-    /// Applies every gate of a circuit in order (with per-gate fallback
-    /// checks in auto mode).
-    pub fn apply_circuit(&mut self, circuit: &Circuit) {
-        for g in circuit.iter() {
-            self.apply_gate(g);
-        }
-    }
-
-    /// Converts a sparse state into the dense representation in place
-    /// (exact: occupied entries are scattered into a fresh `2^n` buffer).
-    ///
-    /// # Panics
-    ///
-    /// Panics above [`MAX_DENSIFY_QUBITS`]: those registers exist
-    /// precisely because their dense buffer (4 GiB at 28 qubits) cannot
-    /// be allocated, and an explicit panic beats an OOM abort.
-    pub fn densify(&mut self) {
-        if self.is_compact() {
-            self.sparsify();
-        }
-        if let SimEngine::Sparse(s) = self {
-            assert!(
-                s.n_qubits() <= MAX_DENSIFY_QUBITS,
-                "cannot densify a {}-qubit sparse state (limit {MAX_DENSIFY_QUBITS}: \
-                 the dense buffer would not fit in memory)",
-                s.n_qubits()
-            );
-            let dense = StateVector::from_sparse_entries(s.n_qubits(), s.entries(), *s.config());
-            *self = SimEngine::Dense(dense);
-        }
-    }
-
-    /// The auto-mode fallback (shared by [`EngineKind::Compact`]'s
-    /// incremental path): densify once occupancy exceeds
-    /// `density_threshold · 2^n`, unless the register is too wide to
-    /// allocate densely ([`MAX_DENSIFY_QUBITS`]).
-    fn maybe_densify(&mut self) {
-        let SimEngine::Sparse(s) = self else { return };
-        if !matches!(s.config().engine, EngineKind::Auto | EngineKind::Compact)
-            || s.n_qubits() > MAX_DENSIFY_QUBITS
-        {
-            return;
-        }
-        let dim = (1u64 << s.n_qubits()) as f64;
-        if s.occupancy() as f64 > s.config().density_threshold * dim {
-            self.densify();
         }
     }
 
@@ -260,7 +119,6 @@ impl SimEngine {
     pub fn amplitude(&self, bits: u64) -> Complex64 {
         match self {
             SimEngine::Dense(s) => s.amplitude(bits),
-            SimEngine::Sparse(s) => s.amplitude(bits),
             SimEngine::Compact(s) => s.amplitude(bits),
         }
     }
@@ -269,7 +127,6 @@ impl SimEngine {
     pub fn probability(&self, bits: u64) -> f64 {
         match self {
             SimEngine::Dense(s) => s.probability(bits),
-            SimEngine::Sparse(s) => s.probability(bits),
             SimEngine::Compact(s) => s.probability(bits),
         }
     }
@@ -278,7 +135,6 @@ impl SimEngine {
     pub fn support_size(&self, eps: f64) -> usize {
         match self {
             SimEngine::Dense(s) => s.support_size(eps),
-            SimEngine::Sparse(s) => s.support_size(eps),
             SimEngine::Compact(s) => s.support_size(eps),
         }
     }
@@ -287,7 +143,6 @@ impl SimEngine {
     pub fn norm_sqr(&self) -> f64 {
         match self {
             SimEngine::Dense(s) => s.norm_sqr(),
-            SimEngine::Sparse(s) => s.norm_sqr(),
             SimEngine::Compact(s) => s.norm_sqr(),
         }
     }
@@ -299,17 +154,14 @@ impl SimEngine {
     /// Panics on dimension mismatch.
     pub fn fidelity_against_dense(&self, other: &StateVector) -> f64 {
         assert_eq!(self.n_qubits(), other.n_qubits(), "dimension mismatch");
-        let over_entries = |entries: &[(u64, Complex64)]| {
-            entries
+        match self {
+            SimEngine::Dense(s) => s.fidelity(other),
+            SimEngine::Compact(s) => s
+                .entries()
                 .iter()
                 .map(|&(bits, a)| a.conj() * other.amplitude(bits))
                 .sum::<Complex64>()
-                .norm_sqr()
-        };
-        match self {
-            SimEngine::Dense(s) => s.fidelity(other),
-            SimEngine::Sparse(s) => over_entries(s.entries()),
-            SimEngine::Compact(s) => over_entries(&s.entries()),
+                .norm_sqr(),
         }
     }
 
@@ -321,29 +173,25 @@ impl SimEngine {
     pub fn expectation_diag_values(&self, values: &[f64]) -> f64 {
         match self {
             SimEngine::Dense(s) => s.expectation_diag_values(values),
-            SimEngine::Sparse(s) => s.expectation_diag_values(values),
             SimEngine::Compact(s) => s.expectation_diag_values(values),
         }
     }
 
     /// Expectation of a diagonal observable given as a polynomial — the
-    /// table-free path large sparse registers rely on.
+    /// table-free path wide compact registers rely on.
     pub fn expectation_diag_poly(&self, poly: &PhasePoly) -> f64 {
         match self {
             SimEngine::Dense(s) => s.expectation_diag_poly(poly),
-            SimEngine::Sparse(s) => s.expectation_diag_poly(poly),
             SimEngine::Compact(s) => s.expectation_diag_poly(poly),
         }
     }
 
     /// Fills `out` with this engine's cumulative probability table
-    /// (length `2^n` dense, occupancy sparse, `|F|` compact — pass it
-    /// back to [`SimEngine::sample_with_cumulative`] on the *same*
-    /// state).
+    /// (length `2^n` dense, `|F|` compact — pass it back to
+    /// [`SimEngine::sample_with_cumulative`] on the *same* state).
     pub fn fill_cumulative(&self, out: &mut Vec<f64>) {
         match self {
             SimEngine::Dense(s) => s.fill_cumulative(out),
-            SimEngine::Sparse(s) => s.fill_cumulative(out),
             SimEngine::Compact(s) => s.fill_cumulative(out),
         }
     }
@@ -363,7 +211,6 @@ impl SimEngine {
     ) -> Counts {
         match self {
             SimEngine::Dense(s) => s.sample_with_cumulative(cumulative, shots, rng),
-            SimEngine::Sparse(s) => s.sample_with_cumulative(cumulative, shots, rng),
             SimEngine::Compact(s) => s.sample_with_cumulative(cumulative, shots, rng),
         }
     }
@@ -372,7 +219,6 @@ impl SimEngine {
     pub fn sample<R: Rng>(&self, shots: u64, rng: &mut R) -> Counts {
         match self {
             SimEngine::Dense(s) => s.sample(shots, rng),
-            SimEngine::Sparse(s) => s.sample(shots, rng),
             SimEngine::Compact(s) => s.sample(shots, rng),
         }
     }
@@ -381,110 +227,113 @@ impl SimEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::circuit::Circuit;
     use crate::gate::UBlock;
+    use crate::simconfig::EngineKind;
+    use crate::workspace::SimWorkspace;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn sparse_cfg(kind: EngineKind, threshold: f64) -> SimConfig {
-        SimConfig {
-            density_threshold: threshold,
-            ..SimConfig::serial().with_engine(kind)
-        }
+    fn run_on(kind: EngineKind, circuit: &Circuit) -> SimEngine {
+        let mut ws = SimWorkspace::new(SimConfig::serial().with_engine(kind));
+        ws.run(circuit).clone()
+    }
+
+    fn confined() -> Circuit {
+        let mut c = Circuit::new(3);
+        c.load_bits(0b001);
+        c.ublock(UBlock::from_u_with_angle(&[1, -1, 1], 0.7));
+        c
     }
 
     #[test]
     fn engine_kind_selects_representation() {
-        assert!(!SimEngine::new_with(3, SimConfig::serial()).is_sparse());
-        for kind in [EngineKind::Sparse, EngineKind::Auto] {
-            assert!(SimEngine::new_with(3, sparse_cfg(kind, 0.5)).is_sparse());
-        }
-    }
-
-    #[test]
-    fn auto_densifies_when_threshold_crossed() {
-        // 4 qubits, threshold 0.25: densify once occupancy > 4 entries.
-        let mut e = SimEngine::new_with(4, sparse_cfg(EngineKind::Auto, 0.25));
-        let mut c = Circuit::new(4);
-        c.h(0).h(1);
-        e.apply_circuit(&c);
-        assert!(e.is_sparse(), "4 entries = threshold, not above");
-        e.apply_gate(&Gate::H(2));
-        assert!(!e.is_sparse(), "8 entries > 4: fallback must trip");
-        // Post-fallback evolution continues on the dense engine.
-        e.apply_gate(&Gate::H(3));
-        assert!((e.norm_sqr() - 1.0).abs() < 1e-12);
-        assert_eq!(e.occupancy(), 16);
-    }
-
-    #[test]
-    fn forced_sparse_never_densifies() {
-        let mut e = SimEngine::new_with(3, sparse_cfg(EngineKind::Sparse, 0.01));
-        let mut c = Circuit::new(3);
-        c.h(0).h(1).h(2);
-        e.apply_circuit(&c);
-        assert!(e.is_sparse(), "sparse kind is a hard opt-in");
-        assert_eq!(e.occupancy(), 8);
-    }
-
-    #[test]
-    fn densify_is_exact() {
-        let mut c = Circuit::new(3);
-        c.load_bits(0b010);
-        c.ublock(UBlock::from_u_with_angle(&[-1, 1, -1], 0.9));
-        let mut e = SimEngine::run_with(&c, sparse_cfg(EngineKind::Sparse, 0.5));
-        let reference = StateVector::run(&c);
-        e.densify();
-        assert!(!e.is_sparse());
-        for bits in 0..8u64 {
-            let (a, b) = (e.amplitude(bits), reference.amplitude(bits));
-            assert!(a.re == b.re && a.im == b.im, "bits={bits}");
-        }
-    }
-
-    #[test]
-    fn reset_after_fallback_stays_dense() {
-        // Sticky representation: once a run has shown its support fills
-        // the register, later same-width runs reuse the dense buffer in
-        // place instead of re-paying the sparse ramp + densify per run.
-        let mut e = SimEngine::new_with(3, sparse_cfg(EngineKind::Auto, 0.1));
-        let mut c = Circuit::new(3);
-        c.h(0).h(1);
-        e.apply_circuit(&c);
-        assert!(!e.is_sparse(), "fallback tripped");
-        e.reset_zero();
-        assert!(!e.is_sparse(), "fallback is sticky across resets");
-        assert_eq!(e.occupancy(), 1);
-        assert_eq!(e.probability(0), 1.0);
-    }
-
-    #[test]
-    fn densify_refuses_registers_beyond_the_dense_cap() {
-        let mut e = SimEngine::new_with(30, sparse_cfg(EngineKind::Sparse, 0.5));
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| e.densify()))
-            .expect_err("must panic, not OOM");
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.contains("cannot densify"), "{msg}");
+        assert!(run_on(EngineKind::Compact, &confined()).is_compact());
+        let dense = run_on(EngineKind::Dense, &confined());
+        assert!(!dense.is_compact());
+        assert_eq!(dense.representation_label(), "dense");
+        assert!(dense.as_dense().is_some());
     }
 
     #[test]
     fn sample_streams_agree_across_engines() {
-        let mut c = Circuit::new(3);
-        c.load_bits(0b001);
-        c.ublock(UBlock::from_u_with_angle(&[1, -1, 1], 0.7));
-        let dense = SimEngine::run_with(&c, SimConfig::serial());
-        let sparse = SimEngine::run_with(&c, sparse_cfg(EngineKind::Sparse, 0.5));
+        let c = confined();
+        let dense = run_on(EngineKind::Dense, &c);
+        let compact = run_on(EngineKind::Compact, &c);
+        assert!(compact.is_compact());
         let mut ra = StdRng::seed_from_u64(9);
         let mut rb = StdRng::seed_from_u64(9);
-        assert_eq!(dense.sample(3_000, &mut ra), sparse.sample(3_000, &mut rb));
+        assert_eq!(dense.sample(3_000, &mut ra), compact.sample(3_000, &mut rb));
+    }
+
+    fn mixer(n: usize) -> Circuit {
+        let mut c = Circuit::new(n);
+        for q in 0..n {
+            c.h(q);
+        }
+        c
+    }
+
+    #[test]
+    fn reset_after_fallback_stays_dense() {
+        // A shape the compact engine refuses runs dense, and every later
+        // run of it resets that dense buffer in place: no per-iteration
+        // 2^n allocation, results equal a dense run.
+        let mut ws = SimWorkspace::new(SimConfig::serial());
+        let circuit = mixer(10);
+        ws.run(&circuit);
+        let buffer = ws
+            .state()
+            .and_then(|e| e.as_dense())
+            .unwrap()
+            .amplitudes()
+            .as_ptr();
+        let expected = StateVector::run(&circuit);
+        for _ in 0..3 {
+            let state = ws.run(&circuit);
+            assert_eq!(state.representation_label(), "dense");
+            assert!((state.fidelity_against_dense(&expected) - 1.0).abs() < 1e-12);
+        }
+        let state = ws.state().and_then(|e| e.as_dense()).unwrap();
+        assert_eq!(
+            state.amplitudes().as_ptr(),
+            buffer,
+            "buffer reused in place"
+        );
+        assert_eq!(ws.reallocations(), 1);
+        assert_eq!(ws.plan_compilations(), 1, "refusal remembered");
+    }
+
+    #[test]
+    fn densify_refuses_registers_beyond_the_dense_cap() {
+        // Above MAX_DENSIFY_QUBITS no dense buffer can exist, so the
+        // compact engine compiles any support instead of falling back:
+        // a 30-qubit block runs on two amplitudes even at threshold 0.
+        let n = 30;
+        let u: Vec<i8> = (0..n).map(|i| if i % 2 == 0 { 1 } else { -1 }).collect();
+        let v_bits = (0..n)
+            .filter(|i| i % 2 == 0)
+            .fold(0u64, |m, i| m | (1 << i));
+        let mut c = Circuit::new(n);
+        c.load_bits(v_bits);
+        c.ublock(UBlock::from_u_with_angle(&u, 0.7));
+        let config = SimConfig {
+            density_threshold: 0.0,
+            ..SimConfig::serial()
+        };
+        let mut ws = SimWorkspace::new(config);
+        let state = ws.run(&c);
+        assert!(state.is_compact());
+        assert_eq!(state.occupancy(), 2);
+        assert!((state.probability(v_bits) - 0.7f64.cos().powi(2)).abs() < 1e-12);
     }
 
     #[test]
     fn fidelity_against_dense_spans_representations() {
-        let mut c = Circuit::new(3);
-        c.h(0).cx(0, 1).ry(2, 0.4);
+        let c = confined();
         let reference = StateVector::run(&c);
-        for kind in [EngineKind::Dense, EngineKind::Sparse] {
-            let e = SimEngine::run_with(&c, sparse_cfg(kind, 0.9));
+        for kind in [EngineKind::Dense, EngineKind::Compact] {
+            let e = run_on(kind, &c);
             assert!((e.fidelity_against_dense(&reference) - 1.0).abs() < 1e-12);
         }
     }

@@ -8,7 +8,13 @@
 //!   ([`Gate::DiagPhase`]), commute-Hamiltonian blocks `e^{-iβHc(u)}`
 //!   ([`Gate::UBlock`]), and XY-mixer pairs ([`Gate::XyMix`]).
 //! * [`StateVector`] — exact state-vector execution of every gate,
-//!   including the structured ones (no Trotter error anywhere).
+//!   including the structured ones (no Trotter error anywhere); the
+//!   reference engine.
+//! * [`SimWorkspace`] — the solvers' execution entry point. On the default
+//!   [`EngineKind::Compact`] it compiles each circuit shape into a gate
+//!   plan over the feasible subspace and replays it into a
+//!   [`CompactStateVector`] of `|F|` amplitudes, bit-identical to the
+//!   dense engine; shapes that fill the register run dense.
 //! * [`transpile`] — lowering to deployable basic gates; implements the
 //!   paper's Lemma 2 (`G† P(β) X₁ P(−β) X₁ G`) with linear circuit depth and
 //!   two clean ancillas, plus ancilla-based MCX/MCPhase constructions.
@@ -49,7 +55,6 @@ pub mod oracle;
 mod phasepoly;
 mod plan;
 mod simconfig;
-pub mod sparse;
 mod state;
 mod synth;
 mod transpile;
@@ -60,12 +65,11 @@ pub use circuit::Circuit;
 pub use compact::CompactStateVector;
 pub use counts::Counts;
 pub use draw::draw;
-pub use engine::{SimEngine, MAX_DENSIFY_QUBITS};
+pub use engine::{SimEngine, MAX_COMPACT_QUBITS, MAX_DENSIFY_QUBITS};
 pub use gate::{Gate, RegisterShift, ShiftBlock, UBlock};
 pub use noise::NoiseModel;
 pub use phasepoly::PhasePoly;
 pub use simconfig::{EngineKind, SimConfig, DEFAULT_DENSITY_THRESHOLD, DEFAULT_PARALLEL_THRESHOLD};
-pub use sparse::{SparseStateVector, MAX_SPARSE_QUBITS};
 pub use state::StateVector;
 pub use synth::{
     circuit_unitary, two_level_decompose, SynthCost, TwoLevelDecomposition, TwoLevelOp,

@@ -1,36 +1,32 @@
 //! Gate-plan compilation for the compact engine.
 //!
 //! A Choco-Q variational loop replays one circuit *shape* — the same gate
-//! sequence with different angles — hundreds of times. The sparse engine
-//! rediscovers the feasible support from scratch on every replay and pays
-//! sorted-map merge churn per gate; but the support trajectory depends
-//! only on the circuit's **structure** (masks, patterns, polynomial
-//! identities), never on its angles. [`GatePlan::compile`] walks that
-//! structure once:
+//! sequence with different angles — hundreds of times. The support
+//! trajectory of that state depends only on the circuit's **structure**
+//! (masks, patterns, polynomial identities), never on its angles.
+//! [`GatePlan::compile`] walks that structure once:
 //!
-//! 1. a forward pass simulates support growth exactly the way the sparse
-//!    engine's kernels would (pair partners are materialized, phases never
-//!    grow support), producing the final feasible basis `F` (sorted),
+//! 1. a forward pass simulates support growth gate by gate (pair
+//!    partners are materialized, phases never grow support), producing
+//!    the final feasible basis `F` (sorted),
 //! 2. every gate is lowered to a [`PlanStep`] of precomputed rank tables
 //!    into `F` — scatter/gather pair lists, subspace rank lists, per-rank
 //!    diagonal polynomial values.
 //!
-//! Replay ([`GatePlan::execute`]) then walks the *current* circuit in
-//! lockstep with the steps, reading angles/matrices from the gates and
-//! ranks from the plan: cache-friendly strided loops over a flat
-//! `Vec<Complex64>` of length `|F|`, threaded through
+//! Replay ([`GatePlan::apply_step`], gate by gate) then walks the
+//! *current* circuit in lockstep with the steps, reading angles/matrices
+//! from the gates and ranks from the plan: cache-friendly strided loops
+//! over a flat `Vec<Complex64>` of length `|F|`, threaded through
 //! [`SimConfig::effective_threads`], with zero map operations and zero
-//! allocations. Every arithmetic expression mirrors the sparse engine
-//! operand for operand (which in turn mirrors the dense engine), so the
-//! three engines stay bit-identical — structurally-supported slots the
-//! sparse engine pruned hold exact zeros here and contribute exact IEEE
-//! no-ops to every kernel.
+//! allocations. Every arithmetic expression mirrors the dense engine
+//! operand for operand, so the two engines stay bit-identical —
+//! structurally-supported slots that are numerically zero hold exact
+//! zeros here and contribute exact IEEE no-ops to every kernel.
 //!
 //! Compilation *fails over* instead of compiling pathological shapes:
-//! once the structural support crosses the same occupancy threshold that
-//! trips [`crate::EngineKind::Auto`]'s dense fallback, [`PlanError`] is
-//! returned and [`crate::SimWorkspace`] runs the circuit on the per-gate
-//! engines instead (dense after the auto-style fallback).
+//! once the structural support crosses [`SimConfig::density_threshold`]
+//! of the register, [`PlanError`] is returned and [`crate::SimWorkspace`]
+//! runs the circuit on the dense engine instead.
 
 use crate::circuit::Circuit;
 use crate::gate::Gate;
@@ -240,9 +236,8 @@ enum StepSpec {
     DiagPoly,
 }
 
-/// Maps a gate to its structural class — the same dispatch table as
-/// [`crate::SparseStateVector::apply_gate`], but resolved by gate *kind*
-/// so the classification is stable under angle changes: `Rz(0)` still
+/// Maps a gate to its structural class, resolved by gate *kind* so the
+/// classification is stable under angle changes: `Rz(0)` still
 /// compiles as a diagonal, `Rx(0)` still compiles as a general pair
 /// (replay applies the identity matrix through the pair expressions,
 /// which is an exact IEEE no-op on the amplitudes).
@@ -303,7 +298,7 @@ fn step_spec(gate: &Gate) -> StepSpec {
                 return StepSpec::Noop;
             }
             // Frozen matrix (part of the shape key): classify by value,
-            // exactly like the sparse dispatch.
+            // exactly like the dense dispatch.
             if matrix[0][1] == Complex64::ZERO && matrix[1][0] == Complex64::ZERO {
                 StepSpec::DiagPair {
                     controls: mask,
@@ -460,9 +455,9 @@ impl GatePlan {
                     BitsStep::DiagPair(pick(controls), pick(fixed))
                 }
                 StepSpec::Pairs { fixed, value, xor } => {
-                    // Canonicalize exactly like the sparse engine's
-                    // pair_map: every touched entry maps to the pair's
-                    // `value`-side index; sort+dedup yields each pair once.
+                    // Canonicalize: every touched entry maps to the
+                    // pair's `value`-side index; sort+dedup yields each
+                    // pair once.
                     let mut canon: Vec<u64> = support
                         .iter()
                         .filter_map(|&bits| {
@@ -500,10 +495,9 @@ impl GatePlan {
                         !b.support.is_empty(),
                         "register-gated block needs support bits"
                     );
-                    // Same canonicalization as the sparse engine's
-                    // apply_shift_block: every eligible touched entry maps
-                    // to its pair's source index; sort+dedup yields each
-                    // pair once.
+                    // Same canonicalization for register-gated pairs:
+                    // every eligible touched entry maps to its pair's
+                    // source index; sort+dedup yields each pair once.
                     let mut canon: Vec<u64> = support
                         .iter()
                         .filter_map(|&bits| b.source_of(bits))
@@ -600,31 +594,51 @@ impl GatePlan {
     ///
     /// Panics if the gate count or amplitude length disagree with the
     /// plan (a shape-match violation).
+    #[cfg(test)]
     pub(crate) fn execute(&self, circuit: &Circuit, amps: &mut [Complex64], config: &SimConfig) {
         assert_eq!(circuit.len(), self.steps.len(), "shape mismatch");
+        for (index, gate) in circuit.iter().enumerate() {
+            self.apply_step(index, gate, amps, config);
+        }
+    }
+
+    /// Applies step `index` of the plan to `amps` (length `|F|`), reading
+    /// angles and matrices from `gate` — gate `index` of a circuit whose
+    /// shape matches this plan. [`crate::SimWorkspace`] replays a circuit
+    /// by calling this for every gate in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is past the plan, the amplitude length is not
+    /// `|F|`, or `gate` is not the kind the step was compiled from.
+    pub(crate) fn apply_step(
+        &self,
+        index: usize,
+        gate: &Gate,
+        amps: &mut [Complex64],
+        config: &SimConfig,
+    ) {
         assert_eq!(amps.len(), self.basis.len(), "basis length mismatch");
-        for (gate, step) in circuit.iter().zip(self.steps.iter()) {
-            match step {
-                PlanStep::Noop => {}
-                PlanStep::Phase { ranks } => {
-                    let phase = phase_factor(gate);
-                    scale_ranks(amps, ranks, phase, config);
-                }
-                PlanStep::DiagPair { ranks0, ranks1 } => {
-                    let m = gate_matrix_1q(gate);
-                    for (d, ranks) in [(m[0][0], ranks0), (m[1][1], ranks1)] {
-                        if d != Complex64::ONE {
-                            scale_ranks(amps, ranks, d, config);
-                        }
+        match &self.steps[index] {
+            PlanStep::Noop => {}
+            PlanStep::Phase { ranks } => {
+                let phase = phase_factor(gate);
+                scale_ranks(amps, ranks, phase, config);
+            }
+            PlanStep::DiagPair { ranks0, ranks1 } => {
+                let m = gate_matrix_1q(gate);
+                for (d, ranks) in [(m[0][0], ranks0), (m[1][1], ranks1)] {
+                    if d != Complex64::ONE {
+                        scale_ranks(amps, ranks, d, config);
                     }
                 }
-                PlanStep::Pairs { pairs } => apply_pairs(amps, pairs, gate, config),
-                PlanStep::DiagPoly { ranks, values, .. } => {
-                    let Gate::DiagPhase(_, theta) = gate else {
-                        panic!("shape mismatch: expected a diagonal evolution, got {gate}");
-                    };
-                    apply_diag(amps, ranks, values, *theta, config);
-                }
+            }
+            PlanStep::Pairs { pairs } => apply_pairs(amps, pairs, gate, config),
+            PlanStep::DiagPoly { ranks, values, .. } => {
+                let Gate::DiagPhase(_, theta) = gate else {
+                    panic!("shape mismatch: expected a diagonal evolution, got {gate}");
+                };
+                apply_diag(amps, ranks, values, *theta, config);
             }
         }
     }
@@ -636,8 +650,8 @@ impl GatePlan {
     /// traversed once while the inner loops run over the K lanes.
     ///
     /// Every lane evaluates *exactly* the arithmetic expression sequence
-    /// [`GatePlan::execute`] would apply to it alone — including the
-    /// value-based kernel dispatch per lane (an `Rx(0)` lane takes the
+    /// the serial replay ([`GatePlan::apply_step`]) would apply to it
+    /// alone — including the value-based kernel dispatch per lane (an `Rx(0)` lane takes the
     /// diagonal branch while an `Rx(0.5)` lane takes the real-matrix
     /// branch of the same step) — so batched amplitudes are bit-identical
     /// to K sequential replays at any thread count. The caller must have
@@ -778,7 +792,7 @@ fn merge_sorted(a: &[u64], b: &[u64]) -> Vec<u64> {
 }
 
 /// The phase factor of a [`PlanStep::Phase`] gate — the same expressions
-/// the sparse engine feeds its `subspace_map`.
+/// the dense engine's phase kernels use.
 fn phase_factor(gate: &Gate) -> Complex64 {
     match gate {
         Gate::Cz(..) => Complex64::cis(std::f64::consts::PI),
@@ -821,8 +835,8 @@ fn scale_ranks(amps: &mut [Complex64], ranks: &[u32], factor: Complex64, config:
 }
 
 /// Applies the diagonal phase `e^{-iθ·f}` per listed rank (the `f != 0`
-/// filter already happened at compile time, mirroring the sparse
-/// engine's per-entry branch).
+/// filter already happened at compile time, mirroring the dense
+/// engine's per-amplitude branch).
 fn apply_diag(
     amps: &mut [Complex64],
     ranks: &[u32],
@@ -845,8 +859,8 @@ fn apply_diag(
 }
 
 /// Applies a pair step with the gate's 2×2 arithmetic, dispatching on the
-/// *values* exactly like the sparse engine (`apply_controlled_1q` /
-/// `apply_block_masks`), so degenerate angles reproduce its expressions.
+/// *values* exactly like the dense engine's kernels, so degenerate angles
+/// reproduce its expressions.
 fn apply_pairs(amps: &mut [Complex64], pairs: &[[u32; 2]], gate: &Gate, config: &SimConfig) {
     match gate {
         // Permutations: swap the two slots.
@@ -877,7 +891,7 @@ fn apply_pairs(amps: &mut [Complex64], pairs: &[[u32; 2]], gate: &Gate, config: 
                 // A kind-pair gate momentarily diagonal (e.g. `Rx(0)`):
                 // the pair's low slot is the controls-side subspace, the
                 // high slot the fixed side — the same two scalings the
-                // sparse engine would perform.
+                // dense engine would perform.
                 for (d, side) in [(m[0][0], 0usize), (m[1][1], 1usize)] {
                     if d != Complex64::ONE {
                         let ptr = AmpPtr(amps.as_mut_ptr());
@@ -1076,7 +1090,7 @@ fn scale_ranks_batch(
 }
 
 /// Batched diagonal scaling with the serial path's per-gate `d != 1`
-/// skip applied per lane (see [`GatePlan::execute`]'s `DiagPair` arm).
+/// skip applied per lane (see [`GatePlan::apply_step`]'s `DiagPair` arm).
 fn scale_ranks_batch_skip_one(
     amps: &mut [Complex64],
     ranks: &[u32],
@@ -1251,7 +1265,7 @@ fn apply_pairs_batch(
 mod tests {
     use super::*;
     use crate::gate::UBlock;
-    use crate::sparse::SparseStateVector;
+    use crate::state::StateVector;
 
     fn test_poly() -> Arc<PhasePoly> {
         let mut poly = PhasePoly::new(4);
@@ -1280,16 +1294,131 @@ mod tests {
         amps
     }
 
+    /// Asserts the plan replay equals the dense engine bit for bit on
+    /// the feasible basis, and that the dense state is zero off it.
+    fn assert_matches_dense(circuit: &Circuit, plan: &GatePlan, amps: &[Complex64]) {
+        let dense = StateVector::run(circuit);
+        for (rank, &bits) in plan.basis().iter().enumerate() {
+            let (a, b) = (amps[rank], dense.amplitude(bits));
+            assert!(a.re == b.re && a.im == b.im, "bits={bits}: {a} vs {b}");
+        }
+        let off_basis = (0..1u64 << circuit.n_qubits())
+            .filter(|bits| plan.basis().binary_search(bits).is_err())
+            .all(|bits| dense.amplitude(bits) == Complex64::ZERO);
+        assert!(off_basis, "dense state leaves the compiled basis");
+    }
+
     #[test]
-    fn plan_replay_is_bit_identical_to_sparse() {
+    fn plan_replay_is_bit_identical_to_dense() {
         let circuit = confined_circuit(0.9);
         let plan = GatePlan::compile(&circuit, 1 << 10).unwrap();
         let amps = run_plan(&circuit, &plan);
-        let sparse = SparseStateVector::run(&circuit);
-        for (rank, &bits) in plan.basis().iter().enumerate() {
-            let (a, b) = (amps[rank], sparse.amplitude(bits));
-            assert!(a.re == b.re && a.im == b.im, "bits={bits}: {a} vs {b}");
+        assert_matches_dense(&circuit, &plan, &amps);
+    }
+
+    /// Compiles and replays `circuit` from `|0…0⟩`, asserting bit-identity
+    /// with the dense engine; returns the plan and its amplitudes.
+    fn replay_matches_dense(circuit: &Circuit) -> (GatePlan, Vec<Complex64>) {
+        let plan = GatePlan::compile(circuit, 1 << 12).unwrap();
+        let amps = run_plan(circuit, &plan);
+        assert_matches_dense(circuit, &plan, &amps);
+        (plan, amps)
+    }
+
+    #[test]
+    fn mixed_circuit_matches_dense_engine() {
+        // Every gate kind the IR has, on one register.
+        let mut poly = PhasePoly::new(5);
+        poly.add_constant(0.3);
+        poly.add_linear(0, 1.0);
+        poly.add_linear(4, -0.8);
+        poly.add_quadratic(1, 3, 0.6);
+        let mut c = Circuit::new(5);
+        c.h(0)
+            .h(3)
+            .ry(1, 0.7)
+            .rx(2, -0.4)
+            .rz(0, 1.2)
+            .p(4, 0.8)
+            .cx(0, 1)
+            .cz(1, 2)
+            .cp(2, 4, -0.6)
+            .ccx(0, 1, 4)
+            .mcx(vec![0, 2], 3)
+            .mcphase(vec![1, 2, 4], 0.9)
+            .xy(1, 4, 0.35)
+            .ublock(UBlock::from_u_with_angle(&[1, 0, -1, 1, -1], 0.55))
+            .diag(Arc::new(poly), 0.75)
+            .push(Gate::Swap(0, 4))
+            .push(Gate::Y(2));
+        replay_matches_dense(&c);
+    }
+
+    #[test]
+    fn controlled_u_and_all_1q_shapes_match_oracle() {
+        let mut c = Circuit::new(3);
+        c.h(0).h(2);
+        c.push(Gate::S(0)); // diagonal
+        c.push(Gate::X(1)); // anti-diagonal
+        c.push(Gate::Ry(2, 0.9)); // real
+        c.push(Gate::ControlledU {
+            controls: vec![0],
+            target: 2,
+            matrix: Gate::Rx(2, 0.4).matrix_1q().unwrap(), // general complex
+        });
+        let (plan, amps) = replay_matches_dense(&c);
+        let oracle = crate::oracle::ScalarStateVector::run(&c);
+        for (bits, &a) in oracle.amplitudes().iter().enumerate() {
+            let got = match plan.basis().binary_search(&(bits as u64)) {
+                Ok(rank) => amps[rank],
+                Err(_) => Complex64::ZERO,
+            };
+            assert!(got.approx_eq(a, 1e-12), "bits={bits}");
         }
+    }
+
+    #[test]
+    fn ublock_stays_in_pattern_pair() {
+        // On the block's pattern the state spreads over the pair; off it
+        // the block touches nothing.
+        for (start, occupied) in [(0b101u64, 2usize), (0b111, 1)] {
+            let mut c = Circuit::new(3);
+            c.load_bits(start);
+            c.ublock(UBlock::from_u_with_angle(&[1, -1, 1], 1.3));
+            let (_, amps) = replay_matches_dense(&c);
+            let nonzero = amps.iter().filter(|a| **a != Complex64::ZERO).count();
+            assert_eq!(nonzero, occupied, "start={start:03b}");
+            let norm: f64 = amps.iter().map(|a| a.norm_sqr()).sum();
+            assert!((norm - 1.0).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn empty_support_ublock_is_a_global_phase() {
+        let mut c = Circuit::new(2);
+        c.h(0).cx(0, 1);
+        c.ublock(UBlock {
+            support: vec![],
+            pattern: 0,
+            angle: 0.3,
+        });
+        let (_, amps) = replay_matches_dense(&c);
+        let want = Complex64::cis(-0.3).scale(std::f64::consts::FRAC_1_SQRT_2);
+        assert!(amps[0].approx_eq(want, 1e-12));
+    }
+
+    #[test]
+    fn rotation_transfers_amplitude_to_inserted_partner() {
+        let mut c = Circuit::new(2);
+        c.load_bits(0b01);
+        // Quarter turn: all amplitude transfers to the partner |10⟩.
+        c.ublock(UBlock::from_u_with_angle(
+            &[1, -1],
+            std::f64::consts::FRAC_PI_2,
+        ));
+        let (plan, amps) = replay_matches_dense(&c);
+        let rank = plan.basis().binary_search(&0b10).unwrap();
+        assert!(amps[rank].approx_eq(Complex64::new(0.0, -1.0), 1e-12));
     }
 
     #[test]
@@ -1303,14 +1432,7 @@ mod tests {
             let circuit = confined_circuit_with(&poly, theta);
             assert!(plan.shape().matches(&circuit), "theta={theta}");
             let amps = run_plan(&circuit, &plan);
-            let sparse = SparseStateVector::run(&circuit);
-            for (rank, &bits) in plan.basis().iter().enumerate() {
-                let (a, b) = (amps[rank], sparse.amplitude(bits));
-                assert!(
-                    a.re == b.re && a.im == b.im,
-                    "theta={theta} bits={bits}: {a} vs {b}"
-                );
-            }
+            assert_matches_dense(&circuit, &plan, &amps);
         }
     }
 
@@ -1346,12 +1468,38 @@ mod tests {
     #[test]
     fn degenerate_gates_compile_to_noops() {
         let mut c = Circuit::new(2);
-        c.h(0);
+        c.h(0).h(1);
         c.push(Gate::Cx(0, 0));
         c.push(Gate::Swap(1, 1));
-        let plan = GatePlan::compile(&c, 16).unwrap();
-        assert!(matches!(plan.steps[1], PlanStep::Noop));
-        assert!(matches!(plan.steps[2], PlanStep::Noop));
+        c.push(Gate::Ccx(0, 1, 1));
+        let (plan, _) = replay_matches_dense(&c);
+        for step in 2..5 {
+            assert!(matches!(plan.steps[step], PlanStep::Noop), "step {step}");
+        }
+    }
+
+    #[test]
+    fn basis_permutations_keep_occupancy_one() {
+        let mut c = Circuit::new(3);
+        c.load_bits(0b011);
+        c.x(2).cx(0, 1);
+        c.push(Gate::Swap(0, 2));
+        let (_, amps) = replay_matches_dense(&c);
+        let nonzero = amps.iter().filter(|a| **a != Complex64::ZERO).count();
+        assert_eq!(nonzero, 1, "permutations never spread amplitude");
+    }
+
+    #[test]
+    fn hadamard_grows_support_on_demand() {
+        // H·H interferes back to |0⟩: the plan's basis keeps the partner
+        // slots, but they hold exact zeros, so per-gate support counts
+        // equal the dense engine's.
+        let mut c = Circuit::new(3);
+        c.h(0).h(1).h(1).h(0);
+        let (plan, amps) = replay_matches_dense(&c);
+        assert_eq!(plan.basis().len(), 4);
+        assert!(amps[0].approx_eq(Complex64::ONE, 1e-12));
+        assert!(amps[1..].iter().all(|a| *a == Complex64::ZERO));
     }
 
     #[test]

@@ -8,28 +8,24 @@
 //! call. [`SimWorkspace`] owns all three buffers across iterations,
 //! restarts, and elimination branches:
 //!
-//! * the amplitude state is an engine ([`SimEngine`]) reset in place —
-//!   dense buffers are reused, sparse entry lists are cleared
-//!   (`reallocations()` counts how often the engine had to be rebuilt —
-//!   the zero-alloc-per-iteration invariant the solvers assert in their
+//! * the amplitude state is an engine ([`SimEngine`]) reset in place
+//!   (`reallocations()` counts how often it had to be rebuilt — the
+//!   zero-alloc-per-iteration invariant the solvers assert in their
 //!   tests),
-//! * diagonals are cached per `Arc<PhasePoly>` identity **while the
-//!   engine is dense**, so a polynomial shared across iterations is
-//!   expanded exactly once per register width; the sparse engine
-//!   evaluates the polynomial per occupied entry instead and needs no
-//!   `2^n` table at all,
+//! * diagonals are cached per `Arc<PhasePoly>` identity on the dense
+//!   engine, so a polynomial shared across iterations is expanded
+//!   exactly once per register width (the compact engine bakes its
+//!   per-rank values into the plan instead),
 //! * the sampling prefix table is built lazily per final state and reused
-//!   across repeated `sample` calls (its meaning follows the engine:
-//!   `2^n` slots dense, occupancy slots sparse, `|F|` slots compact),
-//! * compiled **gate plans** (the compact engine's rank-table
-//!   compiler) are cached per circuit
-//!   *shape* when [`crate::EngineKind::Compact`] is selected: the
+//!   across repeated `sample` calls (`2^n` slots dense, `|F|` slots
+//!   compact),
+//! * compiled **gate plans** are cached per circuit *shape* when
+//!   [`crate::EngineKind::Compact`] (the default) is selected: the
 //!   feasible subspace is enumerated and lowered to rank tables once, and
 //!   every subsequent iteration replays the plan with that iteration's
-//!   angles as flat-array loops — no support rediscovery, no map churn.
-//!   Shapes that refuse compilation (structural support above the
-//!   occupancy threshold) are remembered as fallbacks and run on the
-//!   per-gate engines (sparse with the auto-style dense fallback).
+//!   angles as flat-array loops. Shapes that refuse compilation
+//!   (structural support above the occupancy threshold) are remembered
+//!   and run straight on the dense engine.
 //!
 //! Which engine runs is [`SimConfig::engine`]'s choice — the workspace is
 //! where that selection takes effect for every solver.
@@ -44,7 +40,6 @@ use crate::kernels;
 use crate::phasepoly::PhasePoly;
 use crate::plan::{CircuitShape, GatePlan, PlanError};
 use crate::simconfig::{EngineKind, SimConfig};
-#[cfg(doc)]
 use crate::state::StateVector;
 use rand::Rng;
 use std::sync::{Arc, Mutex, Weak};
@@ -67,7 +62,7 @@ enum PlanEntry {
     Compiled(Arc<GatePlan>),
     /// The shape refused compilation (structural support too dense):
     /// remember that, so iterations skip the recompile attempt and go
-    /// straight to the per-gate fallback engines.
+    /// straight to the dense engine.
     Fallback(CircuitShape),
 }
 
@@ -218,7 +213,7 @@ impl PlanCache {
 
     /// Finds the plan for `circuit`'s shape, compiling it on a miss.
     /// Returns `None` when the shape is a (fresh or remembered) fallback:
-    /// the caller then runs the per-gate engines.
+    /// the caller then runs the dense engine.
     pub(crate) fn lookup_or_compile(
         &self,
         circuit: &Circuit,
@@ -265,16 +260,17 @@ impl PlanCache {
     }
 }
 
-/// The structural-support cap above which plan compilation gives up: the
-/// same occupancy threshold that trips [`crate::EngineKind::Auto`]'s
-/// dense fallback (floored so tiny registers always compile), or a hard
-/// table-size cap where no dense fallback exists.
+/// The structural-support cap above which plan compilation gives up and
+/// the shape runs dense: [`SimConfig::density_threshold`] of the register
+/// (floored so tiny registers always compile). Above
+/// [`MAX_DENSIFY_QUBITS`] there is no dense fallback, so compilation
+/// never refuses there.
 fn plan_support_cap(config: &SimConfig, n_qubits: usize) -> usize {
     if n_qubits <= MAX_DENSIFY_QUBITS {
         let dim = (1u64 << n_qubits) as f64;
         ((config.density_threshold * dim) as usize).max(64)
     } else {
-        1 << 22
+        usize::MAX
     }
 }
 
@@ -297,13 +293,12 @@ fn plan_support_cap(config: &SimConfig, n_qubits: usize) -> usize {
 ///
 /// # Unwind safety
 ///
-/// A workspace is **not** [`std::panic::UnwindSafe`]: the sparse engine
-/// holds interior-mutable sampling caches, and a panic mid-`run` can
-/// leave the engine state, diagonal cache, or sampling table logically
-/// inconsistent (never memory-unsafe). Callers that isolate panics with
-/// `catch_unwind(AssertUnwindSafe(..))` — the experiment runner's
-/// per-cell fault isolation — must **discard the workspace afterwards**
-/// and build a fresh one rather than reuse it. The shared [`PlanCache`]
+/// A workspace is **not** [`std::panic::UnwindSafe`]: a panic mid-`run`
+/// can leave the engine state, diagonal cache, or sampling table
+/// logically inconsistent (never memory-unsafe). Callers that isolate
+/// panics with `catch_unwind(AssertUnwindSafe(..))` — the experiment
+/// runner's per-cell fault isolation — must **discard the workspace
+/// afterwards** and build a fresh one rather than reuse it. The shared [`PlanCache`]
 /// is the exception: it recovers from lock poisoning on its own (entries
 /// are rebuilt on demand), so sibling workspaces sharing the cache of a
 /// panicked worker keep working.
@@ -387,7 +382,7 @@ impl SimWorkspace {
     }
 
     /// Number of distinct diagonals currently cached (dense engine only;
-    /// the sparse engine never materializes a diagonal).
+    /// the compact engine never materializes a `2^n` diagonal).
     pub fn cached_diagonals(&self) -> usize {
         self.diag_cache.len()
     }
@@ -408,12 +403,10 @@ impl SimWorkspace {
         self.plans.compilations()
     }
 
-    /// Drops the engine state (buffers and the sticky representation of a
-    /// previous fallback) so the next run re-resolves its representation
-    /// from the configuration. Callers that report *which* engine served
-    /// a task — like the experiment runner — use this to make the
-    /// resolution deterministic per task instead of dependent on what the
-    /// workspace executed before. Plan and diagonal caches survive.
+    /// Drops the engine state, so the next run allocates afresh. Every
+    /// run resolves its representation from the configuration and the
+    /// circuit's shape alone; this only releases the buffers. Plan and
+    /// diagonal caches survive.
     pub fn reset_engine(&mut self) {
         self.engine = None;
     }
@@ -422,31 +415,54 @@ impl SimWorkspace {
     /// returns the resulting engine state (borrowed — it stays inside the
     /// workspace for sampling / expectation calls).
     pub fn run(&mut self, circuit: &Circuit) -> &SimEngine {
+        self.run_observed(circuit, |_| {})
+    }
+
+    /// [`SimWorkspace::run`] that hands the state to `observe` before the
+    /// first gate and after every gate — the per-gate view the fig. 9(b)
+    /// support profile needs. On the compact engine this replays the plan
+    /// one step at a time; slots a gate has not reached yet hold exact
+    /// zeros, so per-gate reads equal the dense engine's.
+    pub fn run_observed(
+        &mut self,
+        circuit: &Circuit,
+        mut observe: impl FnMut(&SimEngine),
+    ) -> &SimEngine {
         self.run_stamp += 1;
-        if self.config.engine == EngineKind::Compact && self.run_compact(circuit) {
-            return self.engine.as_ref().expect("compact run set the engine");
-        }
-        self.reset_for(circuit.n_qubits());
-        for gate in circuit.iter() {
-            match gate {
-                // The cached-diagonal fast path only exists on the dense
-                // engine; a sparse state evaluates the polynomial per
-                // occupied entry inside `apply_gate` (and an auto run
-                // that just fell back to dense starts using the cache
-                // from this gate on).
-                Gate::DiagPhase(poly, theta)
-                    if self.engine.as_ref().is_some_and(|e| e.as_dense().is_some()) =>
-                {
-                    self.apply_cached_diag(poly, *theta)
+        let n = circuit.n_qubits();
+        let plan = match self.config.engine {
+            EngineKind::Compact => self
+                .plans
+                .lookup_or_compile(circuit, plan_support_cap(&self.config, n)),
+            EngineKind::Dense => None,
+        };
+        if let Some(plan) = plan {
+            self.reset_compact(&plan, n);
+            observe(self.engine.as_ref().expect("compact engine prepared"));
+            for (index, gate) in circuit.iter().enumerate() {
+                let Some(SimEngine::Compact(state)) = &mut self.engine else {
+                    unreachable!("engine prepared as compact");
+                };
+                plan.apply_step(index, gate, state.amps_mut(), &self.config);
+                observe(self.engine.as_ref().expect("compact engine prepared"));
+            }
+        } else {
+            self.reset_dense(n);
+            observe(self.engine.as_ref().expect("dense engine prepared"));
+            for gate in circuit.iter() {
+                let Some(SimEngine::Dense(state)) = &mut self.engine else {
+                    unreachable!("engine prepared as dense");
+                };
+                match gate {
+                    Gate::DiagPhase(poly, theta) => {
+                        apply_cached_diag(state, &mut self.diag_cache, poly, *theta)
+                    }
+                    g => state.apply_gate(g),
                 }
-                g => self
-                    .engine
-                    .as_mut()
-                    .expect("engine prepared by reset_for")
-                    .apply_gate(g),
+                observe(self.engine.as_ref().expect("dense engine prepared"));
             }
         }
-        self.engine.as_ref().expect("engine prepared by reset_for")
+        self.engine.as_ref().expect("engine prepared")
     }
 
     /// The state left by the last [`SimWorkspace::run`], if any.
@@ -517,93 +533,86 @@ impl SimWorkspace {
         self.batch.as_ref().map_or(0, BatchWorkspace::reallocations)
     }
 
-    /// The compact fast path: find or compile the gate plan for this
-    /// circuit's shape and replay it into the (reused) rank-indexed
-    /// amplitude array. Returns `false` when the shape is a remembered or
-    /// fresh fallback — the caller then runs the per-gate engines.
-    fn run_compact(&mut self, circuit: &Circuit) -> bool {
-        let cap = plan_support_cap(&self.config, circuit.n_qubits());
-        let Some(plan) = self.plans.lookup_or_compile(circuit, cap) else {
-            return false;
-        };
+    /// Points the compact amplitude array at `plan`'s basis and resets
+    /// it to `|0…0⟩`, reusing the allocation when the width matches.
+    fn reset_compact(&mut self, plan: &GatePlan, n_qubits: usize) {
         match &mut self.engine {
-            Some(SimEngine::Compact(c)) if c.n_qubits() == circuit.n_qubits() => {
+            Some(SimEngine::Compact(c)) if c.n_qubits() == n_qubits => {
                 c.reset_for_basis(plan.basis());
             }
             slot => {
                 *slot = Some(SimEngine::Compact(CompactStateVector::new(
-                    circuit.n_qubits(),
+                    n_qubits,
                     plan.basis().clone(),
                     self.config,
                 )));
                 self.reallocations += 1;
             }
         }
-        let Some(SimEngine::Compact(state)) = &mut self.engine else {
-            unreachable!("engine set to compact above");
-        };
-        plan.execute(circuit, state.amps_mut(), &self.config);
-        true
     }
 
-    /// Prepares the engine for an `n`-qubit run, resetting it in place
-    /// when the width and configuration match and counting a reallocation
-    /// otherwise.
-    fn reset_for(&mut self, n_qubits: usize) {
+    /// Resets the dense buffer to `|0…0⟩` in place when the width matches,
+    /// and allocates (counting a reallocation) otherwise.
+    fn reset_dense(&mut self, n_qubits: usize) {
         match &mut self.engine {
-            Some(engine) if engine.n_qubits() == n_qubits => engine.reset_zero(),
+            Some(SimEngine::Dense(s)) if s.n_qubits() == n_qubits => s.reset_zero(),
             slot => {
-                *slot = Some(SimEngine::new_with(n_qubits, self.config));
+                *slot = Some(SimEngine::Dense(StateVector::new_with(
+                    n_qubits,
+                    self.config,
+                )));
                 self.reallocations += 1;
-                // Cached diagonals are per-width; drop stale ones.
-                self.diag_cache.clear();
+                // Cached diagonals are per-width; drop other widths'.
+                let dim = 1usize << n_qubits;
+                self.diag_cache.retain(|e| e.values.len() == dim);
             }
         }
     }
-
-    /// Applies a diagonal evolution on the dense engine using (and
-    /// populating) the per-`Arc` diagonal cache.
-    fn apply_cached_diag(&mut self, poly: &Arc<PhasePoly>, theta: f64) {
-        let state = self
-            .engine
-            .as_mut()
-            .and_then(|e| e.as_dense_mut())
-            .expect("cached-diag path requires the dense engine");
-        let dim = 1usize << state.n_qubits();
-        let hit = self.diag_cache.iter().position(|entry| {
-            entry.values.len() == dim
-                && entry
-                    .poly
-                    .upgrade()
-                    .is_some_and(|live| Arc::ptr_eq(&live, poly))
-        });
-        let idx = match hit {
-            Some(idx) => idx,
-            None => {
-                // Drop entries whose polynomial is gone: they can never
-                // match again, and each holds a 2^n-element Vec — a
-                // long-lived workspace would otherwise grow per solve.
-                self.diag_cache.retain(|e| e.poly.strong_count() > 0);
-                let mut values = vec![0.0f64; dim];
-                kernels::accumulate_poly_diag(&mut values, poly);
-                self.diag_cache.push(CachedDiag {
-                    poly: Arc::downgrade(poly),
-                    values,
-                });
-                self.diag_cache.len() - 1
-            }
-        };
-        state.apply_diag_values(&self.diag_cache[idx].values, theta);
-    }
 }
 
+/// Applies a diagonal evolution on the dense engine using (and
+/// populating) the per-`Arc` diagonal cache.
+fn apply_cached_diag(
+    state: &mut StateVector,
+    diag_cache: &mut Vec<CachedDiag>,
+    poly: &Arc<PhasePoly>,
+    theta: f64,
+) {
+    let dim = 1usize << state.n_qubits();
+    let hit = diag_cache.iter().position(|entry| {
+        entry.values.len() == dim
+            && entry
+                .poly
+                .upgrade()
+                .is_some_and(|live| Arc::ptr_eq(&live, poly))
+    });
+    let idx = match hit {
+        Some(idx) => idx,
+        None => {
+            // Drop entries whose polynomial is gone: they can never
+            // match again, and each holds a 2^n-element Vec — a
+            // long-lived workspace would otherwise grow per solve.
+            diag_cache.retain(|e| e.poly.strong_count() > 0);
+            let mut values = vec![0.0f64; dim];
+            kernels::accumulate_poly_diag(&mut values, poly);
+            diag_cache.push(CachedDiag {
+                poly: Arc::downgrade(poly),
+                values,
+            });
+            diag_cache.len() - 1
+        }
+    };
+    state.apply_diag_values(&diag_cache[idx].values, theta);
+}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simconfig::EngineKind;
-    use crate::state::StateVector;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    fn dense() -> SimConfig {
+        SimConfig::serial().with_engine(EngineKind::Dense)
+    }
 
     fn layer_circuit(n: usize, poly: &Arc<PhasePoly>, theta: f64) -> Circuit {
         let mut c = Circuit::new(n);
@@ -642,7 +651,7 @@ mod tests {
     #[test]
     fn amplitude_buffer_allocated_once_across_iterations() {
         let poly = test_poly(5);
-        let mut ws = SimWorkspace::new(SimConfig::serial());
+        let mut ws = SimWorkspace::new(dense());
         for i in 0..50 {
             let circuit = layer_circuit(5, &poly, 0.1 * i as f64);
             ws.run(&circuit);
@@ -655,7 +664,7 @@ mod tests {
     fn width_change_reallocates_and_clears_diag_cache() {
         let p4 = test_poly(4);
         let p6 = test_poly(6);
-        let mut ws = SimWorkspace::new(SimConfig::serial());
+        let mut ws = SimWorkspace::new(dense());
         ws.run(&layer_circuit(4, &p4, 0.3));
         ws.run(&layer_circuit(6, &p6, 0.3));
         assert_eq!(ws.reallocations(), 2);
@@ -667,7 +676,7 @@ mod tests {
     fn distinct_polys_cache_separately() {
         let a = test_poly(4);
         let b = test_poly(4);
-        let mut ws = SimWorkspace::new(SimConfig::serial());
+        let mut ws = SimWorkspace::new(dense());
         let mut c = Circuit::new(4);
         c.diag(a.clone(), 0.5)
             .diag(b.clone(), 0.25)
@@ -714,52 +723,6 @@ mod tests {
     }
 
     #[test]
-    fn sparse_workspace_matches_dense_and_skips_diag_cache() {
-        let poly = test_poly(4);
-        let mut sparse_ws = SimWorkspace::new(SimConfig::serial().with_engine(EngineKind::Sparse));
-        let mut dense_ws = SimWorkspace::new(SimConfig::serial());
-        for theta in [0.3, 1.1] {
-            // A subspace-confined circuit (no mixers): basis load + diag.
-            let mut c = Circuit::new(4);
-            c.load_bits(0b0110);
-            c.diag(poly.clone(), theta);
-            c.ublock(crate::gate::UBlock::from_u_with_angle(&[1, -1, 1, -1], 0.5));
-            let dense_probs: Vec<f64> = {
-                let e = dense_ws.run(&c);
-                (0..16).map(|b| e.probability(b)).collect()
-            };
-            let sparse = sparse_ws.run(&c);
-            assert!(sparse.is_sparse(), "confined circuit stays sparse");
-            for (bits, &p) in dense_probs.iter().enumerate() {
-                assert!((sparse.probability(bits as u64) - p).abs() < 1e-15);
-            }
-        }
-        assert_eq!(
-            sparse_ws.cached_diagonals(),
-            0,
-            "sparse runs never expand a 2^n diagonal"
-        );
-        assert!(dense_ws.cached_diagonals() > 0);
-    }
-
-    #[test]
-    fn sparse_workspace_sampling_matches_dense_stream() {
-        let mut c = Circuit::new(4);
-        c.load_bits(0b0011);
-        c.ublock(crate::gate::UBlock::from_u_with_angle(&[1, -1, 1, 0], 0.8));
-        let mut sparse_ws = SimWorkspace::new(SimConfig::serial().with_engine(EngineKind::Sparse));
-        let mut dense_ws = SimWorkspace::new(SimConfig::serial());
-        sparse_ws.run(&c);
-        dense_ws.run(&c);
-        let mut ra = StdRng::seed_from_u64(21);
-        let mut rb = StdRng::seed_from_u64(21);
-        assert_eq!(
-            sparse_ws.sample(4_000, &mut ra),
-            dense_ws.sample(4_000, &mut rb)
-        );
-    }
-
-    #[test]
     fn compact_workspace_compiles_once_and_matches_dense_bitwise() {
         let poly = test_poly(4);
         let confined = |theta: f64| {
@@ -773,9 +736,8 @@ mod tests {
             ));
             c
         };
-        let mut compact_ws =
-            SimWorkspace::new(SimConfig::serial().with_engine(EngineKind::Compact));
-        let mut dense_ws = SimWorkspace::new(SimConfig::serial());
+        let mut compact_ws = SimWorkspace::new(SimConfig::serial());
+        let mut dense_ws = SimWorkspace::new(dense());
         for (i, theta) in [0.3, 1.1, -0.7, 0.0, 2.2].into_iter().enumerate() {
             let c = confined(theta);
             let dense_amps: Vec<_> = {
@@ -807,9 +769,8 @@ mod tests {
         let mut c = Circuit::new(4);
         c.load_bits(0b0011);
         c.ublock(crate::gate::UBlock::from_u_with_angle(&[1, -1, 1, 0], 0.8));
-        let mut compact_ws =
-            SimWorkspace::new(SimConfig::serial().with_engine(EngineKind::Compact));
-        let mut dense_ws = SimWorkspace::new(SimConfig::serial());
+        let mut compact_ws = SimWorkspace::new(SimConfig::serial());
+        let mut dense_ws = SimWorkspace::new(dense());
         assert!(compact_ws.run(&c).is_compact());
         dense_ws.run(&c);
         let mut ra = StdRng::seed_from_u64(21);
@@ -823,17 +784,16 @@ mod tests {
     #[test]
     fn compact_workspace_falls_back_cleanly_on_dense_shapes() {
         // A register-filling mixer: compilation refuses the shape, the
-        // run degrades to the per-gate engines with the auto-style dense
-        // fallback, and the refusal is remembered (no recompile attempts).
+        // run goes straight to the dense engine, and the refusal is
+        // remembered (no recompile attempts).
         let mut mixer = Circuit::new(10);
         for q in 0..10 {
             mixer.h(q);
         }
-        let mut ws = SimWorkspace::new(SimConfig::serial().with_engine(EngineKind::Compact));
+        let mut ws = SimWorkspace::new(SimConfig::serial());
         for _ in 0..3 {
             let state = ws.run(&mixer);
-            assert!(!state.is_compact(), "dense shape must not stay compact");
-            assert!(!state.is_sparse(), "auto-style fallback densifies");
+            assert!(state.as_dense().is_some(), "dense shape runs dense");
             let expected = StateVector::run(&mixer);
             assert!((state.fidelity_against_dense(&expected) - 1.0).abs() < 1e-12);
         }
@@ -869,7 +829,7 @@ mod tests {
             c.ublock(crate::gate::UBlock::from_u_with_angle(&[0, 0, 1, -1], 0.2));
             c
         };
-        let mut ws = SimWorkspace::new(SimConfig::serial().with_engine(EngineKind::Compact));
+        let mut ws = SimWorkspace::new(SimConfig::serial());
         for i in 0..6 {
             let theta = 0.1 * i as f64;
             assert!(ws.run(&shape_a(theta)).is_compact());
@@ -896,7 +856,7 @@ mod tests {
             }
             c
         };
-        let mut ws = SimWorkspace::new(SimConfig::serial().with_engine(EngineKind::Compact));
+        let mut ws = SimWorkspace::new(SimConfig::serial());
         for k in 0..8 {
             ws.run(&shape(k, 0.3));
         }
@@ -928,7 +888,7 @@ mod tests {
             c.ublock(crate::gate::UBlock::from_u_with_angle(&[1, -1, 1, -1], 0.5));
             c
         };
-        let config = SimConfig::serial().with_engine(EngineKind::Compact);
+        let config = SimConfig::serial();
         let mut reference = SimWorkspace::new(config);
         let expected: Vec<_> = {
             let e = reference.run(&confined(0.8));
@@ -980,7 +940,7 @@ mod tests {
         let poly = test_poly(4);
         let thetas = [0.3, 1.1, -0.7, 0.0, 2.2];
         let circuits: Vec<Circuit> = thetas.iter().map(|&t| confined_4q(&poly, t)).collect();
-        let config = SimConfig::serial().with_engine(EngineKind::Compact);
+        let config = SimConfig::serial();
         let mut batch_ws = SimWorkspace::new(config);
         let mut serial_ws = SimWorkspace::new(config);
         let batch = batch_ws.run_batch(&circuits).expect("compact batch runs");
@@ -1020,10 +980,10 @@ mod tests {
         let poly = test_poly(4);
         let circuits = vec![confined_4q(&poly, 0.3), confined_4q(&poly, 0.9)];
         // Non-compact engine selection.
-        let mut dense_ws = SimWorkspace::new(SimConfig::serial());
+        let mut dense_ws = SimWorkspace::new(dense());
         assert!(dense_ws.run_batch(&circuits).is_none());
         // Empty batch.
-        let config = SimConfig::serial().with_engine(EngineKind::Compact);
+        let config = SimConfig::serial();
         let mut ws = SimWorkspace::new(config);
         assert!(ws.run_batch(&[]).is_none());
         // Mixed shapes.
@@ -1044,7 +1004,7 @@ mod tests {
     #[test]
     fn batched_iterations_are_zero_alloc_after_warmup() {
         let poly = test_poly(4);
-        let config = SimConfig::serial().with_engine(EngineKind::Compact);
+        let config = SimConfig::serial();
         let mut ws = SimWorkspace::new(config);
         assert_eq!(ws.batch_reallocations(), 0);
         for i in 0..20 {
@@ -1075,7 +1035,7 @@ mod tests {
         // serial runs and batched replays of the same shape, still compile
         // it exactly once between them.
         let poly = test_poly(4);
-        let config = SimConfig::serial().with_engine(EngineKind::Compact);
+        let config = SimConfig::serial();
         let shared = Arc::new(PlanCache::new());
         std::thread::scope(|scope| {
             for w in 0..4 {
@@ -1106,74 +1066,64 @@ mod tests {
         assert_eq!(shared.len(), 1);
     }
 
-    #[test]
-    fn reset_engine_redoes_representation_resolution() {
-        let config = SimConfig {
-            density_threshold: 0.2,
-            ..SimConfig::serial().with_engine(EngineKind::Auto)
-        };
-        let mut ws = SimWorkspace::new(config);
-        let mut mixer = Circuit::new(4);
-        for q in 0..4 {
-            mixer.h(q);
+    fn mixer(n: usize) -> Circuit {
+        let mut c = Circuit::new(n);
+        for q in 0..n {
+            c.h(q);
         }
-        assert!(!ws.run(&mixer).is_sparse(), "fallback tripped");
-        // Sticky without a reset…
-        let mut confined = Circuit::new(4);
-        confined.load_bits(0b0101);
-        assert!(!ws.run(&confined).is_sparse());
-        // …re-resolved per configuration after one.
-        ws.reset_engine();
-        assert!(ws.run(&confined).is_sparse(), "fresh resolution is sparse");
+        c
     }
 
     #[test]
-    fn auto_workspace_fallback_is_sticky_and_allocation_free() {
-        let config = SimConfig {
-            density_threshold: 0.2,
-            ..SimConfig::serial().with_engine(EngineKind::Auto)
-        };
-        let mut ws = SimWorkspace::new(config);
-        // A mixer circuit fills the register: fallback trips mid-run.
-        let mut mixer = Circuit::new(4);
-        for q in 0..4 {
-            mixer.h(q);
+    fn reset_engine_redoes_representation_resolution() {
+        // Each run resolves its representation from the shape alone: a
+        // refused shape runs dense, the next confined one compact again.
+        let mut ws = SimWorkspace::new(SimConfig::serial());
+        assert!(ws.run(&mixer(10)).as_dense().is_some());
+        let mut confined = Circuit::new(10);
+        confined.load_bits(0b0101);
+        assert!(ws.run(&confined).is_compact());
+        // A reset only drops the buffers.
+        ws.reset_engine();
+        assert!(ws.state().is_none());
+        assert!(ws.run(&confined).is_compact());
+        assert_eq!(ws.reallocations(), 3);
+    }
+
+    #[test]
+    fn observed_runs_match_dense_gate_by_gate() {
+        // The per-gate view (fig. 9(b)) on the compact path and on a
+        // refused shape equals the dense engine's after every gate.
+        let poly = test_poly(4);
+        for circuit in [confined_4q(&poly, 0.6), mixer(10)] {
+            let mut per_gate = Vec::new();
+            let mut ws = SimWorkspace::new(SimConfig::serial());
+            let last = ws
+                .run_observed(&circuit, |state| {
+                    let amps: Vec<_> = (0..1u64 << state.n_qubits())
+                        .map(|b| state.amplitude(b))
+                        .collect();
+                    per_gate.push(amps);
+                })
+                .clone();
+            assert_eq!(per_gate.len(), circuit.len() + 1);
+            let mut reference = StateVector::new(circuit.n_qubits());
+            for (step, amps) in per_gate.iter().enumerate() {
+                if step > 0 {
+                    reference.apply_gate(&circuit.gates()[step - 1]);
+                }
+                for (bits, a) in amps.iter().enumerate() {
+                    let d = reference.amplitude(bits as u64);
+                    assert!(a.re == d.re && a.im == d.im, "step={step} bits={bits}");
+                }
+            }
+            // The observed run leaves the same state a plain run does.
+            let plain = ws.run(&circuit);
+            assert_eq!(plain.is_compact(), last.is_compact());
+            for bits in 0..1u64 << circuit.n_qubits() {
+                assert_eq!(plain.amplitude(bits), last.amplitude(bits));
+            }
         }
-        assert!(!ws.run(&mixer).is_sparse(), "fallback tripped");
-        // Iterating the same workload stays on the retained dense buffer:
-        // no per-iteration sparse ramp, no fresh 2^n allocation — and the
-        // results still match a dense run exactly.
-        let buffer = ws
-            .state()
-            .and_then(|e| e.as_dense())
-            .expect("dense after fallback")
-            .amplitudes()
-            .as_ptr();
-        for _ in 0..3 {
-            let state = ws.run(&mixer);
-            assert!(!state.is_sparse(), "fallback is sticky across runs");
-            let expected = StateVector::run(&mixer);
-            assert!((state.fidelity_against_dense(&expected) - 1.0).abs() < 1e-12);
-        }
-        assert_eq!(
-            ws.state()
-                .and_then(|e| e.as_dense())
-                .expect("still dense")
-                .amplitudes()
-                .as_ptr(),
-            buffer,
-            "iterations reuse the densified buffer in place"
-        );
-        assert_eq!(ws.reallocations(), 1, "fallback is not a reallocation");
-        // A width change still starts sparse per the configuration.
-        let mut confined = Circuit::new(5);
-        confined.load_bits(0b00101);
-        confined.ublock(crate::gate::UBlock::from_u_with_angle(
-            &[1, -1, 1, -1, 0],
-            0.4,
-        ));
-        assert!(ws.run(&confined).is_sparse(), "fresh width starts sparse");
-        assert_eq!(ws.reallocations(), 2);
     }
 
     /// The cross-request reuse scenario behind `choco-serve`: two "solves"
@@ -1184,7 +1134,7 @@ mod tests {
     #[test]
     fn interning_keeps_plans_replayable_across_rebuilt_polys() {
         let cache = Arc::new(PlanCache::new());
-        let config = SimConfig::serial().with_engine(EngineKind::Compact);
+        let config = SimConfig::serial();
         let solve = |cache: &Arc<PlanCache>| {
             // A fresh workspace per solve, like a fresh request; only the
             // plan cache is shared.

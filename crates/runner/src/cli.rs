@@ -27,7 +27,7 @@ pub struct RunArgs {
     /// Per-worker simulator threads (default 1: cell-level parallelism
     /// already fills the host).
     pub sim_threads: usize,
-    /// Simulation engine override (`--engine dense|sparse|compact|auto`); `None`
+    /// Simulation engine override (`--engine dense|compact`); `None`
     /// defers to the spec's `[grid] engine` key.
     pub engine: Option<EngineKind>,
     /// Batched-replay width override (`--batch K`); `None` defers to the
@@ -55,7 +55,7 @@ pub struct RunArgs {
 
 /// Usage text for the `run` subcommand.
 pub const RUN_USAGE: &str = "usage: choco-cli run <spec.toml> [--workers N] [--quick] \
-     [--out PATH|-] [--csv PATH] [--sim-threads N] [--engine dense|sparse|compact|auto] \
+     [--out PATH|-] [--csv PATH] [--sim-threads N] [--engine dense|compact] \
      [--batch K] [--optimizer cobyla|nelder-mead|spsa] [--restart-workers N] [--no-table] \
      [--checkpoint PATH] [--resume] [--cell-timeout SECS] [--retries N]";
 
@@ -288,7 +288,7 @@ impl Default for ServeArgs {
 
 /// Usage text for the `serve` subcommand.
 pub const SERVE_USAGE: &str = "usage: choco-cli serve [--state-dir DIR] [--queue-cap N] \
-     [--socket PATH] [--workers N] [--sim-threads N] [--engine dense|sparse|compact|auto] \
+     [--socket PATH] [--workers N] [--sim-threads N] [--engine dense|compact] \
      [--batch K] [--optimizer cobyla|nelder-mead|spsa] [--restart-workers N] \
      [--cell-timeout SECS] [--retries N] [--mem-budget BYTES[K|M|G]] [--gc-done] \
      [--drain-timeout SECS]";
@@ -486,7 +486,7 @@ mod tests {
             "--sim-threads",
             "2",
             "--engine",
-            "sparse",
+            "dense",
             "--batch",
             "8",
             "--optimizer",
@@ -502,7 +502,7 @@ mod tests {
         assert_eq!(args.out.as_deref(), Some("-"));
         assert_eq!(args.csv.as_deref(), Some("cells.csv"));
         assert_eq!(args.sim_threads, 2);
-        assert_eq!(args.engine, Some(EngineKind::Sparse));
+        assert_eq!(args.engine, Some(EngineKind::Dense));
         assert_eq!(args.batch, Some(8));
         assert_eq!(args.optimizer, Some(OptimizerKind::NelderMead));
         assert_eq!(args.restart_workers, 4);
@@ -642,6 +642,15 @@ mod tests {
         assert_eq!(parse_run_args(&strings(&["s.toml"])).unwrap().engine, None);
         let err = parse_run_args(&strings(&["s.toml", "--engine", "fpga"])).unwrap_err();
         assert!(err.contains("--engine") && err.contains("fpga"), "{err}");
+        for removed in ["sparse", "auto"] {
+            let err = parse_run_args(&strings(&["s.toml", "--engine", removed])).unwrap_err();
+            assert!(
+                err.contains("--engine")
+                    && err.contains("was removed")
+                    && err.contains("dense|compact"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -760,8 +760,8 @@ fn prepare_job(
                     format!(
                         "estimated resident simulator state ~{} ({} per worker x {} workers; \
                          peak cell {worst} needs {}) exceeds --mem-budget {}; raise the budget, \
-                         lower --workers, or pick a leaner engine (sparse/compact hold |F| \
-                         amplitudes instead of 2^n)",
+                         lower --workers, or pick the compact engine (it holds |F| \
+                         amplitudes instead of 2^n for Choco-Q cells)",
                         fmt_bytes(required),
                         fmt_bytes(floor),
                         n_workers,
@@ -1394,29 +1394,25 @@ fn admission_qubits(problem: &choco_model::Problem) -> usize {
     choco_core::encoded_qubits_for(problem.constraints()).unwrap_or(problem.n_vars())
 }
 
-/// Estimated resident simulator bytes for one cell, by engine:
-/// dense (and auto, which may fall back to dense) holds the full
-/// `2^n` complex amplitudes at 16 bytes each; sparse holds one map
-/// entry (~24 bytes) and compact one packed entry (~32 bytes) per
-/// feasible-space amplitude, which for Choco-Q cells is bounded by the
-/// enumerated feasible count `|F|`. Non-Choco-Q solvers explore the full
-/// register regardless of engine. Saturating arithmetic: an estimate
-/// that overflows `u64` is "infinite" for admission purposes anyway.
+/// Estimated resident simulator bytes for one cell, by engine: the
+/// dense engine holds the full `2^n` complex amplitudes at 16 bytes
+/// each; the compact engine holds one packed entry (~32 bytes) per
+/// feasible-space amplitude for Choco-Q cells, bounded by the enumerated
+/// feasible count `|F|`. The other solvers fill the register, so the
+/// compact engine runs them on its dense fallback and they are sized as
+/// dense. Saturating arithmetic: an estimate that overflows `u64` is
+/// "infinite" for admission purposes anyway.
 fn cell_sim_bytes(cell: &Cell, instance: &Instance, engine: EngineKind) -> u64 {
     let Ok(optimum) = &instance.optimum else {
         return 0;
     };
     let n = admission_qubits(&instance.problem).min(62) as u32;
     let full = 1u64 << n;
-    let support = if matches!(cell.solver, SolverKind::ChocoQ) {
-        (optimum.n_feasible as u64).clamp(1, full)
-    } else {
-        full
-    };
-    match engine {
-        EngineKind::Dense | EngineKind::Auto => full.saturating_mul(16),
-        EngineKind::Sparse => support.saturating_mul(24),
-        EngineKind::Compact => support.saturating_mul(32),
+    match (engine, cell.solver) {
+        (EngineKind::Compact, SolverKind::ChocoQ) => (optimum.n_feasible as u64)
+            .clamp(1, full)
+            .saturating_mul(32),
+        _ => full.saturating_mul(16),
     }
 }
 
@@ -1689,7 +1685,8 @@ mod tests {
     fn mem_estimates_scale_by_engine_and_solver() {
         let cells = crate::run::expand_grid_cells(
             &ExperimentSpec::parse_str(
-                "name = \"m\"\n[grid]\nproblems = [\"F1\"]\nsolvers = [\"choco\", \"penalty\"]\nseeds = [1]\n",
+                "name = \"m\"\n[grid]\nproblems = [\"F1\"]\n\
+                 solvers = [\"choco\", \"penalty\", \"cyclic\", \"hea\"]\nseeds = [1]\n",
             )
             .unwrap(),
             false,
@@ -1706,29 +1703,35 @@ mod tests {
         let feasible = instance.optimum.as_ref().unwrap().n_feasible as u64;
         assert!(feasible < full, "F1 must have a non-trivial feasible space");
 
-        let (choco, penalty) = match cells[0].solver {
-            SolverKind::ChocoQ => (&cells[0], &cells[1]),
-            _ => (&cells[1], &cells[0]),
-        };
-        // Dense and auto hold the full register regardless of solver.
+        let cell_of = |kind: SolverKind| cells.iter().find(|c| c.solver == kind).unwrap();
+        let choco = cell_of(SolverKind::ChocoQ);
+        let (penalty, cyclic, hea) = (
+            cell_of(SolverKind::Penalty),
+            cell_of(SolverKind::Cyclic),
+            cell_of(SolverKind::Hea),
+        );
+        // Dense holds the full register regardless of solver.
         assert_eq!(
             cell_sim_bytes(choco, instance, EngineKind::Dense),
             full * 16
         );
-        assert_eq!(cell_sim_bytes(choco, instance, EngineKind::Auto), full * 16);
-        // Sparse/compact are |F|-bounded for Choco-Q only.
-        assert_eq!(
-            cell_sim_bytes(choco, instance, EngineKind::Sparse),
-            feasible * 24
-        );
+        // Compact is |F|-bounded for Choco-Q only.
         assert_eq!(
             cell_sim_bytes(choco, instance, EngineKind::Compact),
             feasible * 32
         );
-        assert_eq!(
-            cell_sim_bytes(penalty, instance, EngineKind::Sparse),
-            full * 24
-        );
+        // Register-filling solvers run on compact's dense fallback and
+        // are sized as dense, not at compact's per-entry cost.
+        for solver in [penalty, cyclic, hea] {
+            for engine in [EngineKind::Dense, EngineKind::Compact] {
+                assert_eq!(
+                    cell_sim_bytes(solver, instance, engine),
+                    full * 16,
+                    "{} on {engine}",
+                    solver.solver.label()
+                );
+            }
+        }
     }
 
     #[test]

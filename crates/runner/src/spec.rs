@@ -508,11 +508,9 @@ impl ExperimentSpec {
         let engine = match known.str_key(doc, "grid.engine")? {
             Some(name) => Some(EngineKind::parse(&name).map_err(|e| {
                 format!(
-                    "`[grid] engine`: {e} — pick `dense` for the 2^n strided \
-                         engine, `sparse` for the feasible-subspace engine, \
-                         `compact` for the plan-compiled rank-indexed engine, or \
-                         `auto` to start sparse and densify at the occupancy \
-                         threshold"
+                    "`[grid] engine`: {e} — pick `compact` (the default) for the \
+                         plan-compiled feasible-subspace engine, or `dense` for the \
+                         2^n strided reference engine"
                 )
             })?),
             None => None,
@@ -1016,9 +1014,7 @@ quick_problems = ["F1"]
         assert_eq!(ExperimentSpec::parse_str(MINIMAL).unwrap().engine, None);
         for (name, kind) in [
             ("dense", EngineKind::Dense),
-            ("sparse", EngineKind::Sparse),
             ("compact", EngineKind::Compact),
-            ("auto", EngineKind::Auto),
             // Case-insensitive: specs written by hand shouldn't care.
             ("Compact", EngineKind::Compact),
             ("DENSE", EngineKind::Dense),
@@ -1032,13 +1028,29 @@ quick_problems = ["F1"]
     }
 
     #[test]
+    fn removed_engines_are_rejected_with_guidance() {
+        for name in ["sparse", "auto"] {
+            let err = ExperimentSpec::parse_str(&format!(
+                "name = \"e\"\n[grid]\nproblems = [\"F1\"]\nengine = \"{name}\""
+            ))
+            .unwrap_err();
+            assert!(err.contains("`[grid] engine`"), "{err}");
+            assert!(
+                err.contains(&format!("engine `{name}` was removed")),
+                "{err}"
+            );
+            assert!(err.contains("dense|compact"), "{err}");
+        }
+    }
+
+    #[test]
     fn unknown_engine_is_rejected_with_guidance() {
         let err = ExperimentSpec::parse_str(
             "name = \"e\"\n[grid]\nproblems = [\"F1\"]\nengine = \"gpu\"",
         )
         .unwrap_err();
         assert!(err.contains("unknown engine `gpu`"), "{err}");
-        assert!(err.contains("dense|sparse|compact|auto"), "{err}");
+        assert!(err.contains("dense|compact"), "{err}");
         assert!(
             err.contains("feasible-subspace"),
             "error must explain the choices: {err}"

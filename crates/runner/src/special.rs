@@ -249,11 +249,11 @@ pub(crate) fn execute_ablation(
 /// Fig. 9(b): the number of basis states supporting the state through the
 /// Choco-Q circuit (quantum parallelism growth).
 ///
-/// The profile runs on the engine the spec/CLI selects and counts support
-/// through the engine's occupancy-aware counter — with `engine = "sparse"`
-/// the harness never allocates a `2^n` buffer, which is what lets
-/// `experiments/scaling_sparse.toml` profile registers the dense engine
-/// cannot hold (the counts themselves are engine-independent).
+/// The profile runs on the engine the spec/CLI selects. On the default
+/// compact engine the harness never allocates a `2^n` buffer, which is
+/// what lets `experiments/scaling_sparse.toml` profile registers the
+/// dense engine cannot hold (the counts themselves are
+/// engine-independent).
 /// Record keys for the five support sample points.
 const QUARTER_KEYS: [&str; 5] = [
     "support_at_0pct",

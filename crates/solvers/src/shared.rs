@@ -5,7 +5,7 @@ use choco_model::{CircuitStats, SolverError, TimingBreakdown};
 use choco_optim::OptimizerKind;
 use choco_qsim::{
     transpile, Circuit, Counts, EngineKind, NoiseModel, PhasePoly, SimConfig, SimWorkspace,
-    TranspileOptions, MAX_SPARSE_QUBITS,
+    TranspileOptions, MAX_COMPACT_QUBITS,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -122,14 +122,14 @@ pub fn reject_inequalities(
 }
 
 /// Engine-aware size gate: the dense engine stops at [`MAX_SIM_QUBITS`];
-/// the sparse/compact/auto engines accept anything the circuit IR can
-/// express ([`MAX_SPARSE_QUBITS`]) because a feasible-subspace solve
-/// never allocates `2^n` of anything (the compact engine's storage is
-/// `|F|` amplitudes plus its compiled rank tables).
+/// the compact engine accepts anything the circuit IR can express
+/// ([`MAX_COMPACT_QUBITS`]) because a feasible-subspace solve never
+/// allocates `2^n` of anything (its storage is `|F|` amplitudes plus its
+/// compiled rank tables).
 pub fn check_size_for(required_qubits: usize, engine: EngineKind) -> Result<(), SolverError> {
     let limit = match engine {
         EngineKind::Dense => MAX_SIM_QUBITS,
-        EngineKind::Sparse | EngineKind::Compact | EngineKind::Auto => MAX_SPARSE_QUBITS,
+        EngineKind::Compact => MAX_COMPACT_QUBITS,
     };
     if required_qubits > limit {
         Err(SolverError::TooLarge {
@@ -144,8 +144,8 @@ pub fn check_size_for(required_qubits: usize, engine: EngineKind) -> Result<(), 
 /// The diagonal cost a variational loop minimizes: a materialized `2^n`
 /// table (bit-identical across engines; the default up to
 /// [`MAX_SIM_QUBITS`]) or the bare polynomial (table-free — the only
-/// option for registers too wide to tabulate, where the sparse engine
-/// evaluates it per occupied entry).
+/// option for registers too wide to tabulate, where the compact engine
+/// evaluates it per feasible entry).
 pub enum CostSpec<'a> {
     /// A per-basis-state value table of length `2^n`.
     Table(&'a [f64]),
@@ -488,16 +488,14 @@ mod tests {
     }
 
     #[test]
-    fn sparse_engines_lift_the_size_gate() {
-        // The dense cap exists because of the 2^n buffer; the sparse
-        // engines go to the circuit IR's limit.
-        for engine in [EngineKind::Sparse, EngineKind::Compact, EngineKind::Auto] {
-            assert!(check_size_for(MAX_SIM_QUBITS + 2, engine).is_ok());
-            assert!(matches!(
-                check_size_for(MAX_SPARSE_QUBITS + 1, engine),
-                Err(SolverError::TooLarge { .. })
-            ));
-        }
+    fn compact_engine_lifts_the_size_gate() {
+        // The dense cap exists because of the 2^n buffer; the compact
+        // engine goes to the circuit IR's limit.
+        assert!(check_size_for(MAX_SIM_QUBITS + 2, EngineKind::Compact).is_ok());
+        assert!(matches!(
+            check_size_for(MAX_COMPACT_QUBITS + 1, EngineKind::Compact),
+            Err(SolverError::TooLarge { .. })
+        ));
         assert!(matches!(
             check_size_for(MAX_SIM_QUBITS + 2, EngineKind::Dense),
             Err(SolverError::TooLarge { .. })
@@ -517,7 +515,7 @@ mod tests {
         }
         let mut c = Circuit::new(3);
         c.h(0).cx(0, 1).ry(2, 0.7);
-        let state = choco_qsim::SimEngine::run_with(&c, SimConfig::serial());
+        let state = choco_qsim::SimEngine::Dense(choco_qsim::StateVector::run(&c));
         assert!((spec_t.expectation(&state) - spec_p.expectation(&state)).abs() < 1e-12);
     }
 
@@ -616,7 +614,8 @@ mod tests {
         }
         // Non-compact engines take the sequential fallback and still
         // produce the same trajectory.
-        let (dense, _) = run_confined_loop(SimConfig::serial().with_batch(8));
+        let dense = SimConfig::serial().with_engine(EngineKind::Dense);
+        let (dense, _) = run_confined_loop(dense.with_batch(8));
         assert_eq!(serial.counts, dense.counts);
         assert_eq!(serial.cost_history, dense.cost_history);
     }

@@ -5,16 +5,16 @@
 //! USAGE: choco-cli <file | -> [--solver choco|penalty|cyclic|hea]
 //!                  [--layers N] [--shots N] [--iters N] [--eliminate K]
 //!                  [--noise fez|osaka|sherbrooke] [--top N] [--seed N]
-//!                  [--threads N] [--engine dense|sparse|compact|auto]
+//!                  [--threads N] [--engine dense|compact]
 //!                  [--batch K] [--optimizer cobyla|nelder-mead|spsa]
 //!                  [--restart-workers N] [--timeout SECS]
 //!        choco-cli run <spec.toml> [--workers N] [--quick] [--out PATH|-]
-//!                  [--csv PATH] [--sim-threads N] [--engine dense|sparse|compact|auto]
+//!                  [--csv PATH] [--sim-threads N] [--engine dense|compact]
 //!                  [--batch K] [--optimizer cobyla|nelder-mead|spsa]
 //!                  [--restart-workers N] [--no-table] [--checkpoint PATH] [--resume]
 //!                  [--cell-timeout SECS] [--retries N]
 //!        choco-cli serve [--state-dir DIR] [--queue-cap N] [--socket PATH]
-//!                  [--workers N] [--sim-threads N] [--engine dense|sparse|compact|auto]
+//!                  [--workers N] [--sim-threads N] [--engine dense|compact]
 //!                  [--batch K] [--optimizer cobyla|nelder-mead|spsa]
 //!                  [--restart-workers N] [--cell-timeout SECS] [--retries N]
 //!                  [--mem-budget BYTES[K|M|G]] [--gc-done] [--drain-timeout SECS]
@@ -25,14 +25,13 @@
 //! (COBYLA — the paper's choice — by default). `--restart-workers` fans
 //! the Choco-Q multistart restarts out over a worker pool (0 = one per
 //! core; results are byte-identical at any setting).
-//! `--engine` picks the amplitude representation: `dense` (2^n strided
-//! buffer), `sparse` (feasible-subspace sorted map — Choco-Q circuits
-//! never leave the feasible subspace, so this scales to registers the
-//! dense engine cannot allocate), `compact` (the feasible subspace is
-//! enumerated once per circuit shape and every optimizer iteration
-//! replays a precompiled gate plan over a rank-indexed flat array — the
-//! fastest option for confined circuits), or `auto` (sparse with
-//! automatic dense fallback at the occupancy threshold).
+//! `--engine` picks the amplitude representation: `compact` (the
+//! default: the feasible subspace is enumerated once per circuit shape
+//! and every optimizer iteration replays a precompiled gate plan over a
+//! rank-indexed flat array; Choco-Q circuits never leave the feasible
+//! subspace, so this scales to registers the dense engine cannot
+//! allocate, and register-filling circuits run dense) or `dense` (the
+//! 2^n strided reference buffer).
 //! `--batch` sets the batched-replay width: the variational loop hands
 //! K candidate angle sets at a time to the compact engine, which
 //! evaluates them in one pass over the cached plan (bit-identical to K
@@ -232,16 +231,16 @@ fn main() -> ExitCode {
                 "usage: choco-cli <file | -> [--solver choco|penalty|cyclic|hea] \
                  [--layers N] [--shots N] [--iters N] [--eliminate K] \
                  [--noise fez|osaka|sherbrooke] [--top N] [--seed N] [--threads N] \
-                 [--engine dense|sparse|compact|auto] [--batch K] \
+                 [--engine dense|compact] [--batch K] \
                  [--optimizer cobyla|nelder-mead|spsa] \
                  [--restart-workers N] [--timeout SECS]\n\
                  usage: choco-cli run <spec.toml> [--workers N] [--quick] [--out PATH|-] \
-                 [--csv PATH] [--sim-threads N] [--engine dense|sparse|compact|auto] \
+                 [--csv PATH] [--sim-threads N] [--engine dense|compact] \
                  [--batch K] [--optimizer cobyla|nelder-mead|spsa] [--restart-workers N] \
                  [--no-table] [--checkpoint PATH] [--resume] [--cell-timeout SECS] \
                  [--retries N]\n\
                  usage: choco-cli serve [--state-dir DIR] [--queue-cap N] [--socket PATH] \
-                 [--workers N] [--sim-threads N] [--engine dense|sparse|compact|auto] \
+                 [--workers N] [--sim-threads N] [--engine dense|compact] \
                  [--batch K] [--optimizer cobyla|nelder-mead|spsa] [--restart-workers N] \
                  [--cell-timeout SECS] [--retries N] [--mem-budget BYTES[K|M|G]] \
                  [--gc-done] [--drain-timeout SECS]"

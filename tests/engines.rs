@@ -1,26 +1,25 @@
-//! Differential tests for the feasible-subspace engines.
+//! Differential tests for the feasible-subspace engine.
 //!
 //! Random Choco-Q circuits over all six problem families must agree
-//! between four independent executions — the sparse engine
-//! ([`SparseStateVector`]), the compact plan-replay engine
+//! between three independent executions — the compact plan-replay engine
 //! ([`EngineKind::Compact`] through a [`SimWorkspace`], at 1/2/4 worker
 //! threads), the dense strided engine ([`StateVector`], at 1/2/4 worker
 //! threads), and the scan-and-mask oracle ([`ScalarStateVector`]) — with
-//! **byte-identical** amplitudes/expectations between sparse and compact,
-//! 1e-10 agreement against the oracle, and *identical* deterministic
-//! sampling streams everywhere. The adversarial half drives circuits
-//! that break subspace confinement (penalty/HEA-style mixers,
-//! noise-trajectory gate soup) and asserts the auto engine's dense
-//! fallback — and the compact engine's compilation refusal — trip while
-//! results stay oracle-exact.
+//! **byte-identical** amplitudes between compact and dense, expectations
+//! byte-identical to a sum over the dense state's non-zero entries in
+//! basis order (the compact engine's term order), 1e-10 agreement against
+//! the oracle, and *identical* deterministic sampling streams everywhere.
+//! The adversarial half drives circuits that break subspace confinement
+//! (penalty/HEA-style mixers, noise-trajectory gate soup) and asserts the
+//! compact engine's compilation refusal trips while results stay
+//! oracle-exact.
 
 use choco_q::core::{support_profile, support_profile_with, ChocoQSolver, CommuteDriver};
 use choco_q::mathkit::SplitMix64;
 use choco_q::model::Problem;
 use choco_q::qsim::oracle::ScalarStateVector;
 use choco_q::qsim::{
-    Circuit, EngineKind, NoiseModel, SimConfig, SimEngine, SimWorkspace, SparseStateVector,
-    StateVector,
+    Circuit, EngineKind, NoiseModel, PhasePoly, SimConfig, SimWorkspace, StateVector,
 };
 use choco_q::runner::ProblemRef;
 use proptest::prelude::*;
@@ -124,17 +123,29 @@ fn compact_threaded(threads: usize) -> SimConfig {
     threaded(threads).with_engine(EngineKind::Compact)
 }
 
+/// `Σ |a|²·poly(bits)` over the dense state's non-zero entries in basis
+/// order — the term sequence the compact engine sums.
+fn nonzero_expectation(dense: &StateVector, poly: &PhasePoly) -> f64 {
+    dense
+        .amplitudes()
+        .iter()
+        .enumerate()
+        .filter(|(_, a)| a.re != 0.0 || a.im != 0.0)
+        .map(|(bits, a)| a.norm_sqr() * poly.eval_bits(bits as u64))
+        .sum()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(36))]
 
-    /// The three-way engine matrix on random Choco-Q circuits across
-    /// every family: sparse vs compact (1/2/4 threads, replayed twice so
-    /// the cached plan is exercised) must be BYTE-identical in amplitudes
-    /// and expectations; both vs strided dense (1/2/4 threads) and the
-    /// oracle to 1e-10; occupancy bounded by the feasible set (the
-    /// commute theorem).
+    /// The engine matrix on random Choco-Q circuits across every family:
+    /// compact (1/2/4 threads, replayed twice so the cached plan is
+    /// exercised) vs strided dense (1/2/4 threads) must be BYTE-identical
+    /// in amplitudes and occupancy, with expectations byte-identical to
+    /// the dense non-zero sum; both agree with the oracle to 1e-10;
+    /// occupancy is bounded by the feasible set (the commute theorem).
     #[test]
-    fn sparse_and_compact_match_strided_and_oracle_on_all_families(
+    fn compact_matches_strided_and_oracle_on_all_families(
         family in 0usize..9,
         seed in any::<u64>(),
         layers in 1usize..3,
@@ -151,78 +162,60 @@ proptest! {
         let width = circuit.n_qubits();
         prop_assert!(width <= 14);
         let oracle = ScalarStateVector::run(&circuit);
-        let sparse = SparseStateVector::run(&circuit);
-        for (bits, &expect) in oracle.amplitudes().iter().enumerate() {
-            let got = sparse.amplitude(bits as u64);
-            prop_assert!(
-                got.approx_eq(expect, 1e-10),
-                "family={family} n={} bits={bits}: sparse {got} oracle {expect}",
-                problem.n_vars()
-            );
-        }
+        let cost = problem.cost_poly();
         for threads in [1usize, 2, 4] {
             let dense = StateVector::run_with(&circuit, threaded(threads));
-            for (bits, &expect) in dense.amplitudes().iter().enumerate() {
+            for (bits, &expect) in oracle.amplitudes().iter().enumerate() {
+                let got = dense.amplitude(bits as u64);
                 prop_assert!(
-                    sparse.amplitude(bits as u64).approx_eq(expect, 1e-10),
-                    "family={family} threads={threads} bits={bits}"
+                    got.approx_eq(expect, 1e-10),
+                    "family={family} n={} threads={threads} bits={bits}: dense {got} oracle {expect}",
+                    problem.n_vars()
                 );
             }
-        }
-        // Compact plan replay at every thread count: byte-identity (==,
-        // not approx) against the sparse engine, on the compiled run AND
-        // on a cached replay.
-        let cost = problem.cost_poly();
-        let sparse_expectation = sparse.expectation_diag_poly(&cost);
-        for threads in [1usize, 2, 4] {
+            // Compact plan replay: byte-identity (==, not approx) against
+            // the dense engine, on the compiled run AND on a cached replay.
             let mut ws = SimWorkspace::new(compact_threaded(threads));
             for replay in 0..2 {
                 let state = ws.run(&circuit);
                 for bits in 0..(1u64 << width) {
-                    let (a, b) = (state.amplitude(bits), sparse.amplitude(bits));
+                    let (a, b) = (state.amplitude(bits), dense.amplitude(bits));
                     prop_assert!(
                         a.re == b.re && a.im == b.im,
                         "family={family} threads={threads} replay={replay} bits={bits}: \
-                         compact {a} sparse {b}"
+                         compact {a} dense {b}"
                     );
                 }
-                let expectation = state.expectation_diag_poly(&cost);
-                if state.is_compact() {
-                    // Compact mirrors the sparse term sequence exactly.
-                    prop_assert_eq!(
-                        expectation,
-                        sparse_expectation,
-                        "family={} threads={} replay={}: expectation diverged",
-                        family, threads, replay
-                    );
+                // Shapes whose |F| exceeds the occupancy cap run dense,
+                // whose sum runs over all 2^n terms.
+                let reference = if state.is_compact() {
+                    nonzero_expectation(&dense, &cost)
                 } else {
-                    // Shapes whose |F| exceeds the occupancy cap fall
-                    // back to dense, whose 2^n sum interleaves exact-zero
-                    // terms: value-equal, compared with tolerance.
-                    prop_assert!(
-                        (expectation - sparse_expectation).abs()
-                            <= 1e-12 * sparse_expectation.abs().max(1.0),
-                        "family={family} threads={threads} replay={replay}: \
-                         fallback expectation diverged"
-                    );
-                }
-                prop_assert_eq!(state.occupancy(), sparse.occupancy());
+                    dense.expectation_diag_poly(&cost)
+                };
+                prop_assert_eq!(
+                    state.expectation_diag_poly(&cost),
+                    reference,
+                    "family={} threads={} replay={}: expectation diverged",
+                    family, threads, replay
+                );
+                prop_assert_eq!(state.occupancy(), dense.occupancy());
             }
             prop_assert_eq!(ws.plan_compilations(), 1, "replay must hit the plan cache");
         }
-        // Subspace confinement: neither feasible-subspace engine occupies
-        // more entries than the problem has feasible assignments.
+        // Subspace confinement: the state occupies no more entries than
+        // the problem has feasible assignments.
+        let occupancy = StateVector::run(&circuit).occupancy();
         let n_feasible = problem.feasible_solutions(1 << 15).len();
         prop_assert!(
-            sparse.occupancy() <= n_feasible,
-            "occupancy {} exceeds |F| = {n_feasible}",
-            sparse.occupancy()
+            occupancy <= n_feasible,
+            "occupancy {occupancy} exceeds |F| = {n_feasible}"
         );
     }
 
-    /// One seed, one distribution: the sparse engine, the compact engine,
-    /// and the dense engine at every thread count produce *identical*
-    /// sample histograms, shot for shot.
+    /// One seed, one distribution: the compact engine and the dense
+    /// engine at every thread count produce *identical* sample
+    /// histograms, shot for shot.
     #[test]
     fn sample_streams_identical_across_engines_and_threads(
         family in 0usize..9,
@@ -235,10 +228,9 @@ proptest! {
         let Some(circuit) = choco_circuit(&problem, seed, 1) else {
             return Ok(());
         };
-        let sparse = SparseStateVector::run(&circuit);
         let reference = {
             let mut rng = StdRng::seed_from_u64(seed);
-            sparse.sample(2_000, &mut rng)
+            StateVector::run_with(&circuit, threaded(1)).sample(2_000, &mut rng)
         };
         for threads in [1usize, 2, 4] {
             let dense = StateVector::run_with(&circuit, threaded(threads));
@@ -264,7 +256,7 @@ proptest! {
 /// transverse-field mixers — fills the register immediately.
 fn penalty_style_circuit(n: usize, seed: u64) -> Circuit {
     let mut rng = SplitMix64::new(seed);
-    let mut poly = choco_q::qsim::PhasePoly::new(n);
+    let mut poly = PhasePoly::new(n);
     for i in 0..n {
         poly.add_linear(i, rng.gen_range_f64(-2.0, 2.0));
     }
@@ -326,55 +318,12 @@ fn noisy_trajectory_circuit(n: usize, seed: u64) -> Circuit {
 }
 
 #[test]
-fn subspace_breaking_circuits_trip_the_auto_fallback() {
-    // Threshold 0.05: the mixer circuits fill the register outright, and
-    // the noisy trajectory's stray-Hadamard churn reaches 16/256 = 6.25%
-    // — all three must cross and densify.
-    let config = SimConfig {
-        density_threshold: 0.05,
-        ..SimConfig::serial().with_engine(EngineKind::Auto)
-    };
-    for (label, circuit) in [
-        ("penalty", penalty_style_circuit(8, 11)),
-        ("hea", hea_style_circuit(8, 12)),
-        ("noisy", noisy_trajectory_circuit(8, 13)),
-    ] {
-        let mut engine = SimEngine::new_with(circuit.n_qubits(), config);
-        engine.apply_circuit(&circuit);
-        assert!(
-            !engine.is_sparse(),
-            "{label}: occupancy {} of {} never crossed the threshold",
-            engine.occupancy(),
-            1 << circuit.n_qubits()
-        );
-        // Post-fallback state is still oracle-exact.
-        let oracle = ScalarStateVector::run(&circuit);
-        let fidelity = oracle.fidelity_against_engine(&engine);
-        assert!(
-            (fidelity - 1.0).abs() < 1e-10,
-            "{label}: fidelity {fidelity}"
-        );
-        // ... and its sample stream matches a dense run's exactly.
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let dense = StateVector::run_with(&circuit, SimConfig::serial());
-        let mut ra = StdRng::seed_from_u64(5);
-        let mut rb = StdRng::seed_from_u64(5);
-        assert_eq!(
-            engine.sample(1_500, &mut ra),
-            dense.sample(1_500, &mut rb),
-            "{label}"
-        );
-    }
-}
-
-#[test]
 fn compact_engine_falls_back_cleanly_on_subspace_breaking_circuits() {
     // The compact engine refuses to compile shapes whose structural
-    // support crosses the occupancy threshold, and runs them through the
-    // per-gate engines with the auto-style dense fallback instead —
-    // oracle-exact, with dense-identical sample streams, and without
-    // re-attempting compilation on later iterations.
+    // support crosses the occupancy threshold, and runs them on the
+    // dense engine instead — oracle-exact, with dense-identical sample
+    // streams, and without re-attempting compilation on later
+    // iterations.
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     for (label, circuit) in [
@@ -386,7 +335,7 @@ fn compact_engine_falls_back_cleanly_on_subspace_breaking_circuits() {
         for replay in 0..2 {
             let state = ws.run(&circuit);
             assert!(
-                !state.is_compact(),
+                state.as_dense().is_some(),
                 "{label} replay {replay}: register-filling shape stayed compact"
             );
             let oracle = ScalarStateVector::run(&circuit);
@@ -413,47 +362,36 @@ fn compact_engine_falls_back_cleanly_on_subspace_breaking_circuits() {
 }
 
 #[test]
-fn forced_sparse_handles_subspace_breaking_circuits_exactly() {
-    // EngineKind::Sparse never falls back — it must still be correct on a
-    // register-filling circuit, merely slower.
-    let circuit = penalty_style_circuit(7, 21);
-    let config = SimConfig::serial().with_engine(EngineKind::Sparse);
-    let engine = SimEngine::run_with(&circuit, config);
-    assert!(engine.is_sparse());
-    assert_eq!(engine.occupancy(), 1 << 7, "mixers fill the register");
-    let oracle = ScalarStateVector::run(&circuit);
-    assert!((oracle.fidelity_against_engine(&engine) - 1.0).abs() < 1e-10);
-}
-
-#[test]
 fn support_profile_consistent_through_the_fallback() {
-    // The fig09b metric on a circuit whose execution densifies mid-way:
-    // the auto profile must equal the dense profile gate for gate.
-    let circuit = penalty_style_circuit(6, 31);
-    let auto = SimConfig::serial().with_engine(EngineKind::Auto);
-    assert_eq!(
-        support_profile_with(&circuit, 1e-9, auto),
-        support_profile(&circuit, 1e-9),
-        "post-fallback support counts diverged from the dense fig09b path"
-    );
+    // The fig09b metric on the default engine equals the dense profile
+    // gate for gate: on a full-register plan (6 qubits compile even when
+    // full) and on a shape the compact engine refuses (8 qubits).
+    for n in [6, 8] {
+        let circuit = penalty_style_circuit(n, 31);
+        assert_eq!(
+            support_profile_with(&circuit, 1e-9, SimConfig::serial()),
+            support_profile(&circuit, 1e-9),
+            "n={n}: compact support counts diverged from the dense fig09b path"
+        );
+    }
 }
 
 #[test]
 fn noise_channel_sampling_ignores_engine_selection() {
     // Stochastic noise breaks subspace confinement by construction, so
-    // the Monte-Carlo executor always runs dense — a sparse-configured
+    // the Monte-Carlo executor always runs dense — a compact-configured
     // SimConfig must not change its histograms.
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     let mut c = Circuit::new(3);
     c.h(0).cx(0, 1).cx(1, 2);
     let noise = NoiseModel::new(0.02, 0.05, 0.01);
-    let dense_cfg = SimConfig::serial();
-    let sparse_cfg = SimConfig::serial().with_engine(EngineKind::Sparse);
+    let dense_cfg = SimConfig::serial().with_engine(EngineKind::Dense);
+    let compact_cfg = SimConfig::serial();
     let mut ra = StdRng::seed_from_u64(7);
     let mut rb = StdRng::seed_from_u64(7);
     let a = noise.sample_noisy_with(dense_cfg, &c, 2_000, 10, &mut ra);
-    let b = noise.sample_noisy_with(sparse_cfg, &c, 2_000, 10, &mut rb);
+    let b = noise.sample_noisy_with(compact_cfg, &c, 2_000, 10, &mut rb);
     assert_eq!(a, b);
 }
 
@@ -472,10 +410,8 @@ fn fig09b_support_numbers_pinned_on_small_gcp() {
     // silently shift fig09b.
     assert_eq!(dense.first(), Some(&1), "profile starts at one basis state");
     assert_eq!(dense, PINNED_GCP_3X2X2_PROFILE, "fig09b numbers moved");
-    for kind in [EngineKind::Sparse, EngineKind::Compact, EngineKind::Auto] {
-        let config = SimConfig::serial().with_engine(kind);
-        assert_eq!(support_profile_with(&circuit, 1e-9, config), dense);
-    }
+    let compact = SimConfig::serial().with_engine(EngineKind::Compact);
+    assert_eq!(support_profile_with(&circuit, 1e-9, compact), dense);
 }
 
 /// The exact circuit `execute_support` profiles (initial params, one

@@ -71,7 +71,7 @@ fn error_kind_of(report: &RunReport, i: usize) -> Option<&str> {
 fn killed_runs_resume_byte_identically_at_any_prefix() {
     let dir = scratch("resume");
     let spec = spec();
-    for engine in [EngineKind::Dense, EngineKind::Sparse, EngineKind::Compact] {
+    for engine in [EngineKind::Dense, EngineKind::Compact] {
         let engine_opts = |workers: usize| RunOptions {
             workers,
             engine: Some(engine),
@@ -180,7 +180,7 @@ fn mismatched_journal_is_rejected_with_the_diverging_knob() {
     let err = execute(
         &spec,
         &RunOptions {
-            engine: Some(EngineKind::Sparse),
+            engine: Some(EngineKind::Compact),
             resume: true,
             ..base
         },

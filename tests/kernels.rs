@@ -7,7 +7,9 @@
 
 use choco_q::mathkit::SplitMix64;
 use choco_q::qsim::oracle::ScalarStateVector;
-use choco_q::qsim::{Circuit, Gate, PhasePoly, SimConfig, SimWorkspace, StateVector, UBlock};
+use choco_q::qsim::{
+    Circuit, EngineKind, Gate, PhasePoly, SimConfig, SimWorkspace, StateVector, UBlock,
+};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -167,7 +169,8 @@ proptest! {
 
     /// The workspace path (cached diagonals, reused buffers) is equivalent
     /// to the oracle as well, including when the same workspace replays
-    /// circuits of different widths.
+    /// circuits of different shapes — on the dense engine, and on the
+    /// compact engine (which compiles or refuses each random shape).
     #[test]
     fn workspace_matches_oracle(
         seed in any::<u64>(),
@@ -179,18 +182,22 @@ proptest! {
             parallel_threshold: 1,
             ..SimConfig::default()
         };
-        let mut ws = SimWorkspace::new(config);
+        let mut dense_ws = SimWorkspace::new(config.with_engine(EngineKind::Dense));
+        let mut compact_ws = SimWorkspace::new(config);
         for round in 0..3u64 {
             let circuit = random_circuit(seed.wrapping_add(round), n, 16);
             let oracle = ScalarStateVector::run(&circuit);
-            let state = ws.run(&circuit);
-            let fidelity = oracle.fidelity_against_engine(state);
-            prop_assert!(
-                (fidelity - 1.0).abs() < 1e-10,
-                "seed={seed} n={n} threads={threads} round={round}: fidelity={fidelity}"
-            );
+            for ws in [&mut dense_ws, &mut compact_ws] {
+                let state = ws.run(&circuit);
+                let fidelity = oracle.fidelity_against_engine(state);
+                prop_assert!(
+                    (fidelity - 1.0).abs() < 1e-10,
+                    "seed={seed} n={n} threads={threads} round={round} {}: fidelity={fidelity}",
+                    state.representation_label()
+                );
+            }
         }
-        prop_assert!(ws.reallocations() == 1, "same width must not reallocate");
+        prop_assert!(dense_ws.reallocations() == 1, "same width must not reallocate");
     }
 
     /// Unitarity: the fast path preserves the norm at any thread count.

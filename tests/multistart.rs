@@ -95,8 +95,8 @@ fn solve_is_identical_across_restart_workers_on_all_six_families() {
 #[test]
 fn parallel_solve_matches_serial_on_every_engine() {
     // Scheduler determinism composes with engine identity: 4 parallel
-    // workers on the sparse/compact engines must reproduce the serial
-    // dense solve bit for bit (worker workspaces share the caller's
+    // workers on either engine must reproduce the serial dense solve
+    // bit for bit (worker workspaces share the caller's
     // compiled-plan cache on the compact path).
     use choco_q::qsim::EngineKind;
     let problem = ProblemRef::parse("gcp:3x2x2")
@@ -104,12 +104,12 @@ fn parallel_solve_matches_serial_on_every_engine() {
         .build(1)
         .expect("instance");
     let dense_serial = {
-        let mut ws = SimWorkspace::new(SimConfig::serial());
+        let mut ws = SimWorkspace::new(SimConfig::serial().with_engine(EngineKind::Dense));
         ChocoQSolver::new(sched_config())
             .solve_with_workspace(&problem, &mut ws)
             .expect("dense serial")
     };
-    for engine in [EngineKind::Dense, EngineKind::Sparse, EngineKind::Compact] {
+    for engine in [EngineKind::Dense, EngineKind::Compact] {
         let mut ws = SimWorkspace::new(SimConfig::serial().with_engine(engine));
         let parallel = ChocoQSolver::new(ChocoQConfig {
             restart_workers: 4,

@@ -363,4 +363,67 @@ proptest! {
             (a, b) => prop_assert!(false, "solver disagreement: {a:?} vs {b:?}"),
         }
     }
+
+    /// Branch-and-bound matches exhaustive enumeration on systems with
+    /// `<=` rows, and never returns an assignment that breaks one.
+    #[test]
+    fn branch_and_bound_matches_exact_on_mixed_systems(
+        sys in arb_mixed_system(),
+        seed in any::<u64>(),
+    ) {
+        let mut rng = choco_q::mathkit::SplitMix64::new(seed);
+        let mut builder = Problem::builder(sys.n_vars());
+        builder = if rng.gen_bool(0.5) { builder.maximize() } else { builder.minimize() };
+        for v in 0..sys.n_vars() {
+            builder = builder.linear(v, rng.gen_range_f64(-4.0, 4.0));
+        }
+        for eq in sys.eqs() {
+            builder = builder.equality(eq.terms.to_vec(), eq.rhs);
+        }
+        for row in sys.ineqs() {
+            builder = builder.less_equal(row.terms.to_vec(), row.rhs);
+        }
+        let problem = builder.build().unwrap();
+        assert_bnb_matches_exact(&problem)?;
+    }
+
+    /// The same agreement on the native-inequality families (knapsack
+    /// with a `<=` budget, multi-dimensional knapsack, assignment with
+    /// capacities).
+    #[test]
+    fn branch_and_bound_matches_exact_on_native_families(
+        class in 0usize..choco_q::problems::NATIVE_CLASSES.len(),
+        seed in 1u64..6,
+    ) {
+        let id = choco_q::problems::NATIVE_CLASSES[class];
+        let problem = choco_q::problems::instance(id, seed);
+        prop_assert!(problem.has_inequalities(), "{id}");
+        assert_bnb_matches_exact(&problem)?;
+    }
+}
+
+/// Runs branch-and-bound and exhaustive enumeration on `problem` and
+/// asserts they agree: same optimal value, a feasible optimizer, and the
+/// same infeasibility verdict.
+fn assert_bnb_matches_exact(problem: &Problem) -> Result<(), TestCaseError> {
+    match (
+        solve_exact(problem),
+        choco_q::model::BranchAndBound::new().solve(problem),
+    ) {
+        (Ok(exact), Ok((bits, value))) => {
+            prop_assert!(
+                problem.constraints().is_satisfied_bits(bits),
+                "infeasible assignment {bits:b}"
+            );
+            prop_assert!(
+                (value - exact.value).abs() < 1e-6,
+                "{value} vs {}",
+                exact.value
+            );
+            prop_assert!((problem.evaluate(bits) - exact.value).abs() < 1e-6);
+        }
+        (Err(_), Err(_)) => {}
+        (a, b) => prop_assert!(false, "solver disagreement: {a:?} vs {b:?}"),
+    }
+    Ok(())
 }
