@@ -65,13 +65,15 @@ fn bench_choco_iteration(c: &mut Criterion) {
 /// Batched multi-angle replay: K candidates of the onehot stack in one
 /// pass over the cached plan. One bench "op" is the whole K-wide batch,
 /// so divide by K for the per-candidate cost `bench_json` reports in
-/// `BENCH_simulation.json`'s `batched_speedup_per_candidate`.
+/// `BENCH_simulation.json`'s `batched_speedup_per_candidate`. K = 1 is
+/// the serial `choco_iteration` compact group, which runs the same
+/// executor.
 fn bench_choco_iteration_batched(c: &mut Criterion) {
     let mut group = c.benchmark_group("choco_iteration_batched");
     group.sample_size(10);
     for n in [14usize, 18] {
         let candidates = choco_onehot_candidates(n, 2, 16);
-        for k in [1usize, 4, 8, 16] {
+        for k in [4usize, 8, 16] {
             let mut ws = SimWorkspace::new(SimConfig::default().with_engine(EngineKind::Compact));
             ws.run_batch(&candidates[..k]).expect("compact batch"); // warmup
             group.bench_with_input(

@@ -231,18 +231,17 @@ fn main() {
     // Batched replay: K candidate angle sets of the same onehot stack in
     // one pass over the cached plan (`SimWorkspace::run_batch`). Each
     // `choco_iteration_batched_k*` entry reports the per-iteration
-    // **per-candidate** cost (batch time / K), so K = 1 is directly
-    // comparable to `choco_iteration_compact` and the K = 8 ratio is the
-    // headline `batched_speedup_per_candidate` number.
+    // **per-candidate** cost (batch time / K), directly comparable to
+    // `choco_iteration_compact` — the same executor at K = 1 — and the
+    // K = 8 ratio is the headline `batched_speedup_per_candidate` number.
     let batch_n = if quick_mode() { 14 } else { 18 };
-    let batch_widths: [(&str, usize); 4] = [
-        ("choco_iteration_batched_k1", 1),
+    let batch_widths: [(&str, usize); 3] = [
         ("choco_iteration_batched_k4", 4),
         ("choco_iteration_batched_k8", 8),
         ("choco_iteration_batched_k16", 16),
     ];
     {
-        eprintln!("measuring batched choco iteration n = {batch_n} (K = 1, 4, 8, 16) …");
+        eprintln!("measuring batched choco iteration n = {batch_n} (K = 4, 8, 16) …");
         let candidates = choco_onehot_candidates(batch_n, 2, 16);
         let mut ws = SimWorkspace::new(config.with_engine(EngineKind::Compact));
         for &(group, k) in &batch_widths {

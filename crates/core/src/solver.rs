@@ -948,7 +948,7 @@ mod tests {
             assert_eq!(serial.counts, batched.counts, "batch {k}");
             assert_eq!(serial.cost_history, batched.cost_history, "batch {k}");
             assert_eq!(serial.iterations, batched.iterations, "batch {k}");
-            // Batching must not cost extra compilations, and the SoA
+            // Batching must not cost extra compilations, and the K-lane
             // buffer warms up once per (shape, width) like the serial
             // amplitude array.
             assert_eq!(
@@ -959,7 +959,7 @@ mod tests {
             assert_eq!(batched_ws.reallocations(), 1, "batch {k}: serial warmup");
             assert!(
                 batched_ws.batch_reallocations() <= batched_ws.plan_compilations(),
-                "batch {k}: at most one SoA warmup per shape, got {}",
+                "batch {k}: at most one K-lane buffer warmup per shape, got {}",
                 batched_ws.batch_reallocations()
             );
         }

@@ -1,28 +1,33 @@
 //! The rank-indexed compact engine's state representation.
 //!
 //! Choco-Q states never leave the feasible subspace, so the compact
-//! engine stores a dense `Vec<Complex64>` of length `|F|`, indexed by the
-//! *rank* of each feasible basis state in the sorted feasible basis `F`
-//! that the gate-plan compiler enumerated at compile time. All per-gate work happens
-//! through the plan's precomputed rank tables; this type only owns the
-//! amplitude array and implements the solver-facing read operations
-//! (amplitudes, expectations, sampling, support counting).
+//! engine stores one amplitude per *rank* of each feasible basis state in
+//! the sorted feasible basis `F` that the gate-plan compiler enumerated
+//! at compile time. A state holds K **lanes** — K same-shape circuits
+//! with different angles, replayed together — in rank-major order,
+//! `amps[rank·K + lane]`, so the K lanes of one rank are contiguous and
+//! the plan's one executor traverses its rank tables once for all of
+//! them. A serial run is one lane; a batched optimizer step
+//! ([`crate::SimWorkspace::run_batch`]) is K.
 //!
-//! Structural slots that are numerically zero hold exact complex zeros.
-//! Every read operation either skips them (summing the non-zero entries
-//! in basis order) or lets them contribute exact IEEE zeros (the
-//! cumulative sampling table), which keeps amplitudes and sample streams
-//! bit-identical to the dense engine.
+//! Every read operation takes the lane it reads. Structural slots that
+//! are numerically zero hold exact complex zeros: reads either skip them
+//! (summing the non-zero entries in basis order) or let them contribute
+//! exact IEEE zeros (the cumulative sampling table), which keeps each
+//! lane's amplitudes and sample streams bit-identical to a dense run of
+//! that lane's circuit, at any lane count and thread count.
 
+use crate::circuit::Circuit;
 use crate::counts::Counts;
 use crate::phasepoly::PhasePoly;
+use crate::plan::{GatePlan, LaneScratch};
 use crate::simconfig::SimConfig;
 use choco_mathkit::Complex64;
 use rand::Rng;
 use std::sync::Arc;
 
-/// A pure quantum state over the feasible basis `F`, stored as one dense
-/// amplitude per feasible-state rank.
+/// Pure quantum states over the feasible basis `F`: `lanes()` of them,
+/// each one amplitude per feasible-state rank.
 ///
 /// Built and driven by [`crate::SimWorkspace`] when
 /// [`crate::EngineKind::Compact`] is selected; the basis is shared
@@ -31,50 +36,78 @@ use std::sync::Arc;
 pub struct CompactStateVector {
     n_qubits: usize,
     /// The sorted feasible basis `F`: `basis[rank]` is the basis-state
-    /// bit pattern of `amps[rank]`. `basis[0] == 0` always (compilation
-    /// starts from `|0…0⟩`).
+    /// bit pattern of the amplitudes at `rank`. `basis[0] == 0` always
+    /// (compilation starts from `|0…0⟩`).
     basis: Arc<Vec<u64>>,
+    /// Rank-major lanes: `amps[rank * lanes + lane]`.
     amps: Vec<Complex64>,
+    lanes: usize,
     config: SimConfig,
+    scratch: LaneScratch,
 }
 
 impl CompactStateVector {
-    /// The state `|0…0⟩` over the given feasible basis.
+    /// An empty state (no lanes) that replays under `config`.
+    pub(crate) fn new(config: SimConfig) -> Self {
+        CompactStateVector {
+            n_qubits: 0,
+            basis: Arc::new(Vec::new()),
+            amps: Vec::new(),
+            lanes: 0,
+            config,
+            scratch: LaneScratch::default(),
+        }
+    }
+
+    /// Re-targets this state at `plan`'s basis with one lane per circuit,
+    /// each `|0…0⟩`, reusing the amplitude allocation when it is large
+    /// enough. Returns `true` when the buffer had to grow.
     ///
     /// # Panics
     ///
-    /// Panics if the basis does not start with the all-zeros state (every
-    /// plan's basis does — compilation starts there).
-    pub(crate) fn new(n_qubits: usize, basis: Arc<Vec<u64>>, config: SimConfig) -> Self {
+    /// Panics if there are no circuits or the basis does not start with
+    /// the all-zeros state (every plan's basis does).
+    pub(crate) fn reset(&mut self, plan: &GatePlan, circuits: &[Circuit]) -> bool {
+        let basis = plan.basis();
         assert_eq!(basis.first(), Some(&0), "feasible basis must contain |0…0⟩");
-        let mut amps = vec![Complex64::ZERO; basis.len()];
-        amps[0] = Complex64::ONE;
-        CompactStateVector {
-            n_qubits,
-            basis,
-            amps,
-            config,
+        assert!(!circuits.is_empty(), "empty batch");
+        for c in circuits {
+            assert_eq!(c.len(), plan.len(), "shape mismatch");
         }
-    }
-
-    /// Re-targets this state at another plan's basis and resets to
-    /// `|0…0⟩`, reusing the amplitude allocation (capacity permitting) —
-    /// the workspace's zero-alloc-per-iteration path when one solve
-    /// alternates between circuit shapes.
-    pub(crate) fn reset_for_basis(&mut self, basis: &Arc<Vec<u64>>) {
-        assert_eq!(basis.first(), Some(&0), "feasible basis must contain |0…0⟩");
         if !Arc::ptr_eq(&self.basis, basis) {
             self.basis = basis.clone();
         }
+        self.n_qubits = circuits[0].n_qubits();
+        self.lanes = circuits.len();
+        let needed = self.lanes * basis.len();
+        let grew = self.amps.capacity() < needed;
         self.amps.clear();
-        self.amps.resize(self.basis.len(), Complex64::ZERO);
-        self.amps[0] = Complex64::ONE;
+        self.amps.resize(needed, Complex64::ZERO);
+        self.amps[..self.lanes].fill(Complex64::ONE); // rank 0 of every lane
+        grew
     }
 
-    /// Resets to `|0…0⟩` in place.
-    pub fn reset_zero(&mut self) {
-        self.amps.fill(Complex64::ZERO);
-        self.amps[0] = Complex64::ONE;
+    /// Applies step `index` of `plan` to every lane (lane `k` reads its
+    /// angles from `circuits[k]`). The circuits must be the ones the
+    /// state was last [`reset`](CompactStateVector::reset) for.
+    pub(crate) fn apply_step(&mut self, plan: &GatePlan, index: usize, circuits: &[Circuit]) {
+        plan.apply_step(
+            index,
+            circuits,
+            &mut self.amps,
+            &mut self.scratch,
+            &self.config,
+        );
+    }
+
+    /// Resets to one lane per circuit and replays the whole plan. Returns
+    /// `true` when the amplitude buffer had to grow.
+    pub(crate) fn replay(&mut self, plan: &GatePlan, circuits: &[Circuit]) -> bool {
+        let grew = self.reset(plan, circuits);
+        for index in 0..plan.len() {
+            self.apply_step(plan, index, circuits);
+        }
+        grew
     }
 
     /// The execution configuration.
@@ -83,113 +116,119 @@ impl CompactStateVector {
         &self.config
     }
 
+    /// Number of lanes (K) held by the last replay; 1 for a serial run.
+    #[inline]
+    pub fn lanes(&self) -> usize {
+        self.lanes
+    }
+
     /// Number of qubits.
     #[inline]
     pub fn n_qubits(&self) -> usize {
         self.n_qubits
     }
 
-    /// The sorted feasible basis this state is ranked over.
+    /// The sorted feasible basis the lanes are ranked over.
     #[inline]
     pub fn basis(&self) -> &[u64] {
         &self.basis
     }
 
-    /// Mutable amplitude array for plan replay (rank-indexed).
-    #[inline]
-    pub(crate) fn amps_mut(&mut self) -> &mut [Complex64] {
-        &mut self.amps
+    /// One lane's amplitudes in rank order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lane is out of range.
+    fn lane(&self, lane: usize) -> impl Iterator<Item = Complex64> + '_ {
+        assert!(lane < self.lanes, "lane out of range");
+        self.amps.iter().skip(lane).step_by(self.lanes).copied()
     }
 
-    /// Number of exactly non-zero amplitudes. Equals the dense engine's
-    /// occupancy (amplitudes are bit-identical across engines).
-    pub fn occupancy(&self) -> usize {
-        self.amps
-            .iter()
-            .filter(|a| a.re != 0.0 || a.im != 0.0)
-            .count()
-    }
-
-    /// The non-zero entries `(basis index, amplitude)` in basis order —
-    /// exactly the dense state's non-zero amplitudes for the same circuit.
-    pub fn entries(&self) -> Vec<(u64, Complex64)> {
+    /// One lane's non-zero entries `(basis index, amplitude)` in basis
+    /// order.
+    fn lane_nonzero(&self, lane: usize) -> impl Iterator<Item = (u64, Complex64)> + '_ {
         self.basis
             .iter()
-            .zip(self.amps.iter())
+            .copied()
+            .zip(self.lane(lane))
             .filter(|(_, a)| a.re != 0.0 || a.im != 0.0)
-            .map(|(&bits, &a)| (bits, a))
-            .collect()
     }
 
-    /// The amplitude of basis state `bits` (zero off the feasible basis).
-    pub fn amplitude(&self, bits: u64) -> Complex64 {
+    /// Number of exactly non-zero amplitudes on one lane. Equals the
+    /// dense engine's occupancy (amplitudes are bit-identical across
+    /// engines).
+    pub fn occupancy(&self, lane: usize) -> usize {
+        self.lane_nonzero(lane).count()
+    }
+
+    /// One lane's non-zero entries `(basis index, amplitude)` in basis
+    /// order — exactly the dense state's non-zero amplitudes for the same
+    /// circuit.
+    pub fn entries(&self, lane: usize) -> Vec<(u64, Complex64)> {
+        self.lane_nonzero(lane).collect()
+    }
+
+    /// The amplitude of basis state `bits` on one lane (zero off the
+    /// feasible basis).
+    pub fn amplitude(&self, lane: usize, bits: u64) -> Complex64 {
+        assert!(lane < self.lanes, "lane out of range");
         match self.basis.binary_search(&bits) {
-            Ok(rank) => self.amps[rank],
+            Ok(rank) => self.amps[rank * self.lanes + lane],
             Err(_) => Complex64::ZERO,
         }
     }
 
-    /// Probability of measuring the basis state `bits`.
-    pub fn probability(&self, bits: u64) -> f64 {
-        self.amplitude(bits).norm_sqr()
+    /// Probability of measuring the basis state `bits` on one lane.
+    pub fn probability(&self, lane: usize, bits: u64) -> f64 {
+        self.amplitude(lane, bits).norm_sqr()
     }
 
-    /// Number of basis states with probability above `eps` (the fig. 9(b)
-    /// support metric).
-    pub fn support_size(&self, eps: f64) -> usize {
-        self.amps.iter().filter(|a| a.norm_sqr() > eps).count()
+    /// Number of basis states with probability above `eps` on one lane
+    /// (the fig. 9(b) support metric).
+    pub fn support_size(&self, lane: usize, eps: f64) -> usize {
+        self.lane(lane).filter(|a| a.norm_sqr() > eps).count()
     }
 
-    /// Total probability (should be 1 up to rounding), summed over the
-    /// non-zero entries in basis order.
-    pub fn norm_sqr(&self) -> f64 {
-        self.amps
-            .iter()
-            .filter(|a| a.re != 0.0 || a.im != 0.0)
-            .map(|a| a.norm_sqr())
-            .sum()
+    /// One lane's total probability (should be 1 up to rounding), summed
+    /// over the non-zero entries in basis order.
+    pub fn norm_sqr(&self, lane: usize) -> f64 {
+        self.lane_nonzero(lane).map(|(_, a)| a.norm_sqr()).sum()
     }
 
-    /// Expectation of a diagonal observable given a `2^n` value table,
-    /// summed over the non-zero entries in basis order.
+    /// One lane's expectation of a diagonal observable given a `2^n`
+    /// value table, summed over the non-zero entries in basis order.
     ///
     /// # Panics
     ///
-    /// Panics if `values.len() != 2^n`.
-    pub fn expectation_diag_values(&self, values: &[f64]) -> f64 {
+    /// Panics if `values.len() != 2^n` or the lane is out of range.
+    pub fn expectation_diag_values(&self, lane: usize, values: &[f64]) -> f64 {
         assert_eq!(
             values.len(),
             1usize << self.n_qubits,
             "diagonal length mismatch"
         );
-        self.basis
-            .iter()
-            .zip(self.amps.iter())
-            .filter(|(_, a)| a.re != 0.0 || a.im != 0.0)
-            .map(|(&bits, a)| a.norm_sqr() * values[bits as usize])
+        self.lane_nonzero(lane)
+            .map(|(bits, a)| a.norm_sqr() * values[bits as usize])
             .sum()
     }
 
-    /// Expectation of a diagonal observable given as a polynomial —
-    /// `O(|F| · terms)`, no table required.
-    pub fn expectation_diag_poly(&self, poly: &PhasePoly) -> f64 {
-        self.basis
-            .iter()
-            .zip(self.amps.iter())
-            .filter(|(_, a)| a.re != 0.0 || a.im != 0.0)
-            .map(|(&bits, a)| a.norm_sqr() * poly.eval_bits(bits))
+    /// One lane's expectation of a diagonal observable given as a
+    /// polynomial — `O(|F| · terms)`, no table required.
+    pub fn expectation_diag_poly(&self, lane: usize, poly: &PhasePoly) -> f64 {
+        self.lane_nonzero(lane)
+            .map(|(bits, a)| a.norm_sqr() * poly.eval_bits(bits))
             .sum()
     }
 
-    /// Fills `out` with the cumulative probability over all `|F|` ranks
-    /// (ascending basis index). Zero slots add exact IEEE zeros, so the
-    /// values at occupied slots match the dense engine's table
+    /// Fills `out` with one lane's cumulative probability over all `|F|`
+    /// ranks (ascending basis index). Zero slots add exact IEEE zeros, so
+    /// the values at occupied slots match the dense engine's table
     /// bit-for-bit — which keeps sample streams identical.
-    pub fn fill_cumulative(&self, out: &mut Vec<f64>) {
+    pub fn fill_cumulative(&self, lane: usize, out: &mut Vec<f64>) {
         out.clear();
-        out.reserve(self.amps.len());
+        out.reserve(self.basis.len());
         let mut acc = 0.0f64;
-        for a in &self.amps {
+        for a in self.lane(lane) {
             acc += a.norm_sqr();
             out.push(acc);
         }
@@ -210,7 +249,7 @@ impl CompactStateVector {
         shots: u64,
         rng: &mut R,
     ) -> Counts {
-        assert_eq!(cumulative.len(), self.amps.len(), "table length mismatch");
+        assert_eq!(cumulative.len(), self.basis.len(), "table length mismatch");
         let total = *cumulative.last().expect("non-empty state");
         let mut counts = Counts::new();
         for _ in 0..shots {
@@ -221,19 +260,19 @@ impl CompactStateVector {
                 0
             } else {
                 let slot = cumulative.partition_point(|&c| c < r);
-                self.basis[slot.min(self.amps.len() - 1)]
+                self.basis[slot.min(self.basis.len() - 1)]
             };
             counts.record(bits);
         }
         counts
     }
 
-    /// Samples `shots` measurement outcomes, building the cumulative
-    /// table on the fly (one-off calls; [`crate::SimWorkspace::sample`]
-    /// caches the table across calls).
-    pub fn sample<R: Rng>(&self, shots: u64, rng: &mut R) -> Counts {
+    /// Samples `shots` measurement outcomes from one lane, building the
+    /// cumulative table on the fly (one-off calls;
+    /// [`crate::SimWorkspace::sample`] caches the table across calls).
+    pub fn sample<R: Rng>(&self, lane: usize, shots: u64, rng: &mut R) -> Counts {
         let mut cumulative = Vec::new();
-        self.fill_cumulative(&mut cumulative);
+        self.fill_cumulative(lane, &mut cumulative);
         self.sample_with_cumulative(&cumulative, shots, rng)
     }
 }
@@ -241,21 +280,15 @@ impl CompactStateVector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::circuit::Circuit;
     use crate::gate::UBlock;
-    use crate::plan::GatePlan;
     use crate::state::StateVector;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn run_compact(circuit: &Circuit) -> CompactStateVector {
         let plan = GatePlan::compile(circuit, 1 << 12).unwrap();
-        let mut state = CompactStateVector::new(
-            circuit.n_qubits(),
-            plan.basis().clone(),
-            SimConfig::serial(),
-        );
-        plan.execute(circuit, state.amps_mut(), &SimConfig::serial());
+        let mut state = CompactStateVector::new(SimConfig::serial());
+        state.replay(&plan, std::slice::from_ref(circuit));
         state
     }
 
@@ -285,13 +318,13 @@ mod tests {
         let compact = run_compact(&circuit);
         let dense = StateVector::run(&circuit);
         for bits in 0..16u64 {
-            let (a, b) = (compact.amplitude(bits), dense.amplitude(bits));
+            let (a, b) = (compact.amplitude(0, bits), dense.amplitude(bits));
             assert!(a.re == b.re && a.im == b.im, "bits={bits}");
         }
-        assert_eq!(compact.occupancy(), dense.occupancy());
-        assert_eq!(compact.entries(), dense_entries(&dense));
-        assert_eq!(compact.support_size(1e-9), dense.support_size(1e-9));
-        assert!((compact.norm_sqr() - 1.0).abs() < 1e-12);
+        assert_eq!(compact.occupancy(0), dense.occupancy());
+        assert_eq!(compact.entries(0), dense_entries(&dense));
+        assert_eq!(compact.support_size(0, 1e-9), dense.support_size(1e-9));
+        assert!((compact.norm_sqr(0) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -312,11 +345,11 @@ mod tests {
                 .sum()
         };
         assert_eq!(
-            compact.expectation_diag_values(&table),
+            compact.expectation_diag_values(0, &table),
             reference(&|bits| table[bits as usize])
         );
         assert_eq!(
-            compact.expectation_diag_poly(&poly),
+            compact.expectation_diag_poly(0, &poly),
             reference(&|bits| poly.eval_bits(bits))
         );
     }
@@ -328,21 +361,25 @@ mod tests {
         let dense = StateVector::run(&circuit);
         let mut ra = StdRng::seed_from_u64(17);
         let mut rb = StdRng::seed_from_u64(17);
-        assert_eq!(compact.sample(5_000, &mut ra), dense.sample(5_000, &mut rb));
+        assert_eq!(
+            compact.sample(0, 5_000, &mut ra),
+            dense.sample(5_000, &mut rb)
+        );
     }
 
     #[test]
     fn reset_reuses_the_allocation() {
         let circuit = confined();
-        let mut compact = run_compact(&circuit);
+        let plan = GatePlan::compile(&circuit, 1 << 12).unwrap();
+        let mut compact = CompactStateVector::new(SimConfig::serial());
+        assert!(compact.replay(&plan, std::slice::from_ref(&circuit)));
         let ptr = compact.amps.as_ptr();
-        compact.reset_zero();
+        assert!(!compact.reset(&plan, std::slice::from_ref(&circuit)));
         assert_eq!(compact.amps.as_ptr(), ptr);
-        assert_eq!(compact.probability(0), 1.0);
-        assert_eq!(compact.occupancy(), 1);
-        // Re-targeting at the same basis keeps the allocation too.
-        let basis = compact.basis.clone();
-        compact.reset_for_basis(&basis);
+        assert_eq!(compact.probability(0, 0), 1.0);
+        assert_eq!(compact.occupancy(0), 1);
+        // A replay at the same width keeps the allocation too.
+        assert!(!compact.replay(&plan, std::slice::from_ref(&circuit)));
         assert_eq!(compact.amps.as_ptr(), ptr);
     }
 }

@@ -59,8 +59,9 @@ pub const MAX_COMPACT_QUBITS: usize = 30;
 pub enum SimEngine {
     /// The dense strided engine.
     Dense(StateVector),
-    /// The rank-indexed compact engine (built by
-    /// [`crate::SimWorkspace`]'s plan replay).
+    /// The rank-indexed compact engine: a one-lane
+    /// [`CompactStateVector`] built by [`crate::SimWorkspace`]'s plan
+    /// replay (every read below addresses lane 0).
     Compact(CompactStateVector),
 }
 
@@ -111,7 +112,7 @@ impl SimEngine {
     pub fn occupancy(&self) -> usize {
         match self {
             SimEngine::Dense(s) => s.occupancy(),
-            SimEngine::Compact(s) => s.occupancy(),
+            SimEngine::Compact(s) => s.occupancy(0),
         }
     }
 
@@ -119,7 +120,7 @@ impl SimEngine {
     pub fn amplitude(&self, bits: u64) -> Complex64 {
         match self {
             SimEngine::Dense(s) => s.amplitude(bits),
-            SimEngine::Compact(s) => s.amplitude(bits),
+            SimEngine::Compact(s) => s.amplitude(0, bits),
         }
     }
 
@@ -127,7 +128,7 @@ impl SimEngine {
     pub fn probability(&self, bits: u64) -> f64 {
         match self {
             SimEngine::Dense(s) => s.probability(bits),
-            SimEngine::Compact(s) => s.probability(bits),
+            SimEngine::Compact(s) => s.probability(0, bits),
         }
     }
 
@@ -135,7 +136,7 @@ impl SimEngine {
     pub fn support_size(&self, eps: f64) -> usize {
         match self {
             SimEngine::Dense(s) => s.support_size(eps),
-            SimEngine::Compact(s) => s.support_size(eps),
+            SimEngine::Compact(s) => s.support_size(0, eps),
         }
     }
 
@@ -143,7 +144,7 @@ impl SimEngine {
     pub fn norm_sqr(&self) -> f64 {
         match self {
             SimEngine::Dense(s) => s.norm_sqr(),
-            SimEngine::Compact(s) => s.norm_sqr(),
+            SimEngine::Compact(s) => s.norm_sqr(0),
         }
     }
 
@@ -157,7 +158,7 @@ impl SimEngine {
         match self {
             SimEngine::Dense(s) => s.fidelity(other),
             SimEngine::Compact(s) => s
-                .entries()
+                .entries(0)
                 .iter()
                 .map(|&(bits, a)| a.conj() * other.amplitude(bits))
                 .sum::<Complex64>()
@@ -173,7 +174,7 @@ impl SimEngine {
     pub fn expectation_diag_values(&self, values: &[f64]) -> f64 {
         match self {
             SimEngine::Dense(s) => s.expectation_diag_values(values),
-            SimEngine::Compact(s) => s.expectation_diag_values(values),
+            SimEngine::Compact(s) => s.expectation_diag_values(0, values),
         }
     }
 
@@ -182,7 +183,7 @@ impl SimEngine {
     pub fn expectation_diag_poly(&self, poly: &PhasePoly) -> f64 {
         match self {
             SimEngine::Dense(s) => s.expectation_diag_poly(poly),
-            SimEngine::Compact(s) => s.expectation_diag_poly(poly),
+            SimEngine::Compact(s) => s.expectation_diag_poly(0, poly),
         }
     }
 
@@ -192,7 +193,7 @@ impl SimEngine {
     pub fn fill_cumulative(&self, out: &mut Vec<f64>) {
         match self {
             SimEngine::Dense(s) => s.fill_cumulative(out),
-            SimEngine::Compact(s) => s.fill_cumulative(out),
+            SimEngine::Compact(s) => s.fill_cumulative(0, out),
         }
     }
 
@@ -219,7 +220,7 @@ impl SimEngine {
     pub fn sample<R: Rng>(&self, shots: u64, rng: &mut R) -> Counts {
         match self {
             SimEngine::Dense(s) => s.sample(shots, rng),
-            SimEngine::Compact(s) => s.sample(shots, rng),
+            SimEngine::Compact(s) => s.sample(0, shots, rng),
         }
     }
 }

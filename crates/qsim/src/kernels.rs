@@ -160,53 +160,42 @@ pub(crate) fn subspace_map<Op>(
     });
 }
 
-/// Applies `op` to every amplitude pair `(i, j)` where
+/// Applies `kernel` to every amplitude pair `(i, j)` where
 /// `i & fixed_mask == fixed_value` and `j = i ^ partner_xor`.
 ///
 /// Disjointness (threading safety): `partner_xor` must be a non-empty
 /// subset of `fixed_mask`, so `j`'s fixed bits differ from `fixed_value` —
 /// no `j` ever collides with another pair's `i`, and distinct free
 /// patterns keep distinct `(i, j)` pairs.
-pub(crate) fn pair_map<Op>(
+pub(crate) fn pair_map(
     amps: &mut [Complex64],
     config: &SimConfig,
     fixed_mask: u64,
     fixed_value: u64,
     partner_xor: u64,
-    op: Op,
-) where
-    Op: Fn(Complex64, Complex64) -> (Complex64, Complex64) + Sync,
-{
+    kernel: PairKernel,
+) {
     assert_ne!(partner_xor, 0, "pair kernel needs a partner");
     assert_eq!(
         partner_xor & !fixed_mask,
         0,
         "partner bits must be fixed bits"
     );
-    let (count, fixed_ext) = check_subspace(amps.len(), fixed_mask, fixed_value);
-    let ptr = AmpPtr(amps.as_mut_ptr());
-    dispatch(config, count, |range| {
-        let base = ptr.get();
-        let start_free = expand_index(range.start as u64, fixed_ext);
-        for_each_index(start_free, range.len(), fixed_ext, fixed_value, |i| {
-            let j = i ^ partner_xor as usize;
-            // SAFETY: `i`, `j` < dim; pairs are disjoint across the whole
-            // traversal (see the disjointness note above).
-            unsafe {
-                let pa = base.add(i);
-                let pb = base.add(j);
-                let (a, b) = op(*pa, *pb);
-                *pa = a;
-                *pb = b;
-            }
-        });
-    });
+    gated_pair_map(
+        amps,
+        config,
+        fixed_mask,
+        fixed_value,
+        move |i| Some(i ^ partner_xor),
+        kernel,
+    );
 }
 
 /// Gated variant of [`pair_map`] for the generalized commute couplings:
 /// enumerates every *source* index `i` with `i & fixed_mask == fixed_value`
-/// and applies `op` to the pair `(i, partner(i))` — skipping indices where
-/// `partner` returns `None` (register-ineligible states stay untouched).
+/// and applies `kernel` to the pair `(i, partner(i))` — skipping indices
+/// where `partner` returns `None` (register-ineligible states stay
+/// untouched).
 ///
 /// Disjointness (threading safety): the caller must guarantee that
 /// `partner(i) & fixed_mask != fixed_value` for every source (the partner
@@ -215,7 +204,43 @@ pub(crate) fn pair_map<Op>(
 /// share a target). [`crate::gate::ShiftBlock::forward`] satisfies both: the
 /// partner carries the complement support pattern, and the register shift is
 /// a fixed translation.
-pub(crate) fn gated_pair_map<P, Op>(
+pub(crate) fn gated_pair_map<P>(
+    amps: &mut [Complex64],
+    config: &SimConfig,
+    fixed_mask: u64,
+    fixed_value: u64,
+    partner: P,
+    kernel: PairKernel,
+) where
+    P: Fn(u64) -> Option<u64> + Sync,
+{
+    assert_ne!(fixed_mask, 0, "gated pair kernel needs support bits");
+    // Branch on the kernel once per gate, not once per pair: every arm
+    // hands the loop a closure whose variant is a compile-time constant.
+    macro_rules! run {
+        ($kernel:expr) => {
+            gated_pair_loop(
+                amps,
+                config,
+                fixed_mask,
+                fixed_value,
+                partner,
+                move |a, b| $kernel.apply(a, b),
+            )
+        };
+    }
+    match kernel {
+        PairKernel::Swap => run!(PairKernel::Swap),
+        PairKernel::Rot { sin, cos } => run!(PairKernel::Rot { sin, cos }),
+        PairKernel::Diag { d0, d1 } => run!(PairKernel::Diag { d0, d1 }),
+        PairKernel::AntiDiag { m01, m10 } => run!(PairKernel::AntiDiag { m01, m10 }),
+        PairKernel::Real { r00, r01, r10, r11 } => run!(PairKernel::Real { r00, r01, r10, r11 }),
+        PairKernel::Full { m } => run!(PairKernel::Full { m }),
+    }
+}
+
+/// The loop behind [`gated_pair_map`], monomorphized per pair operation.
+fn gated_pair_loop<P, Op>(
     amps: &mut [Complex64],
     config: &SimConfig,
     fixed_mask: u64,
@@ -226,7 +251,6 @@ pub(crate) fn gated_pair_map<P, Op>(
     P: Fn(u64) -> Option<u64> + Sync,
     Op: Fn(Complex64, Complex64) -> (Complex64, Complex64) + Sync,
 {
-    assert_ne!(fixed_mask, 0, "gated pair kernel needs support bits");
     let (count, fixed_ext) = check_subspace(amps.len(), fixed_mask, fixed_value);
     let dim = amps.len() as u64;
     let ptr = AmpPtr(amps.as_mut_ptr());
@@ -257,6 +281,108 @@ pub(crate) fn gated_pair_map<P, Op>(
             }
         });
     });
+}
+
+/// The 2×2 update one gate applies to an amplitude pair `(a, b)`: target
+/// bit 0 and 1 of a (controlled) one-qubit gate, or the `|v⟩`/`|v̄⟩` sides
+/// of a commute block. It is resolved from the gate's current *values*
+/// once per gate (once per lane on the compact engine) and then applied to
+/// every pair. The dense engine and the compact plan replay both evaluate
+/// these expressions and no others, so their amplitudes are bit-identical
+/// by construction — including degenerate angles, where `Rx(0)` takes the
+/// diagonal branch and `Rx(π)` the anti-diagonal one.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum PairKernel {
+    /// Permutation gates: swap the two slots.
+    Swap,
+    /// Commute-block rotation `[[cos θ, −i sin θ], [−i sin θ, cos θ]]`.
+    Rot { sin: f64, cos: f64 },
+    /// Diagonal matrix: two independent scalings, each skipped when its
+    /// entry is exactly one (a multiply by one is not an IEEE no-op once
+    /// `-0.0` is in play).
+    Diag { d0: Complex64, d1: Complex64 },
+    /// Anti-diagonal matrix (e.g. `X`, `Rx(π)` up to phase).
+    AntiDiag { m01: Complex64, m10: Complex64 },
+    /// All-real matrix (e.g. `H`, `Ry`): four real scalings.
+    Real {
+        r00: f64,
+        r01: f64,
+        r10: f64,
+        r11: f64,
+    },
+    /// The general complex 2×2.
+    Full { m: [[Complex64; 2]; 2] },
+}
+
+impl PairKernel {
+    /// The commute-block rotation by `theta`.
+    #[inline]
+    pub(crate) fn rotation(theta: f64) -> PairKernel {
+        let (sin, cos) = theta.sin_cos();
+        PairKernel::Rot { sin, cos }
+    }
+
+    /// Classifies a 2×2 matrix by its values: diagonal, anti-diagonal,
+    /// all-real or general.
+    #[inline]
+    pub(crate) fn of_matrix(m: [[Complex64; 2]; 2]) -> PairKernel {
+        if m[0][1] == Complex64::ZERO && m[1][0] == Complex64::ZERO {
+            PairKernel::Diag {
+                d0: m[0][0],
+                d1: m[1][1],
+            }
+        } else if m[0][0] == Complex64::ZERO && m[1][1] == Complex64::ZERO {
+            PairKernel::AntiDiag {
+                m01: m[0][1],
+                m10: m[1][0],
+            }
+        } else if m.iter().flatten().all(|c| c.im == 0.0) {
+            PairKernel::Real {
+                r00: m[0][0].re,
+                r01: m[0][1].re,
+                r10: m[1][0].re,
+                r11: m[1][1].re,
+            }
+        } else {
+            PairKernel::Full { m }
+        }
+    }
+
+    /// Applies the kernel to one `(a, b)` slot pair.
+    #[inline(always)]
+    pub(crate) fn apply(self, a: Complex64, b: Complex64) -> (Complex64, Complex64) {
+        match self {
+            PairKernel::Swap => (b, a),
+            PairKernel::Rot { sin, cos } => rotate(sin, cos, a, b),
+            PairKernel::Diag { d0, d1 } => (scale_unless_one(a, d0), scale_unless_one(b, d1)),
+            PairKernel::AntiDiag { m01, m10 } => (m01 * b, m10 * a),
+            PairKernel::Real { r00, r01, r10, r11 } => {
+                (a.scale(r00) + b.scale(r01), a.scale(r10) + b.scale(r11))
+            }
+            PairKernel::Full { m } => (m[0][0] * a + m[0][1] * b, m[1][0] * a + m[1][1] * b),
+        }
+    }
+}
+
+/// The commute-block rotation of one pair — the exact expression every
+/// engine evaluates for `e^{-iθ·(|v⟩⟨v̄| + |v̄⟩⟨v|)}`.
+#[inline(always)]
+pub(crate) fn rotate(sin: f64, cos: f64, a: Complex64, b: Complex64) -> (Complex64, Complex64) {
+    (
+        Complex64::new(cos * a.re + sin * b.im, cos * a.im - sin * b.re),
+        Complex64::new(cos * b.re + sin * a.im, cos * b.im - sin * a.re),
+    )
+}
+
+/// One diagonal-matrix entry applied to one amplitude, skipped when the
+/// entry is exactly one.
+#[inline(always)]
+pub(crate) fn scale_unless_one(a: Complex64, d: Complex64) -> Complex64 {
+    if d != Complex64::ONE {
+        a * d
+    } else {
+        a
+    }
 }
 
 /// Applies `op(amp, value)` element-wise over the full array, in parallel
@@ -369,9 +495,14 @@ mod tests {
         for threads in [1, 3] {
             let mut amps: Vec<Complex64> = (0..16).map(|i| c64(i as f64, 0.0)).collect();
             // Swap |x0⟩ ↔ |x1⟩ on bit 0 (an X gate on qubit 0).
-            pair_map(&mut amps, &test_config(threads), 0b1, 0b0, 0b1, |a, b| {
-                (b, a)
-            });
+            pair_map(
+                &mut amps,
+                &test_config(threads),
+                0b1,
+                0b0,
+                0b1,
+                PairKernel::Swap,
+            );
             for i in (0..16).step_by(2) {
                 assert_eq!(amps[i].re, (i + 1) as f64);
                 assert_eq!(amps[i + 1].re, i as f64);
@@ -390,7 +521,7 @@ mod tests {
                 0b1,
                 0b0,
                 |i| (i & 0b1000 == 0).then_some(i ^ 0b1),
-                |a, b| (b, a),
+                PairKernel::Swap,
             );
             for i in (0..16).step_by(2) {
                 if i & 0b1000 == 0 {

@@ -13,8 +13,11 @@
 //! * [`SimWorkspace`] — the solvers' execution entry point. On the default
 //!   [`EngineKind::Compact`] it compiles each circuit shape into a gate
 //!   plan over the feasible subspace and replays it into a
-//!   [`CompactStateVector`] of `|F|` amplitudes, bit-identical to the
-//!   dense engine; shapes that fill the register run dense.
+//!   [`CompactStateVector`] of `|F|` amplitudes per lane — one lane for a
+//!   serial run, K for a batch of same-shape candidates, one executor for
+//!   both. Both engines apply the same pair kernels, so compact runs are
+//!   bit-identical to the dense engine; shapes that fill the register run
+//!   dense.
 //! * [`transpile`] — lowering to deployable basic gates; implements the
 //!   paper's Lemma 2 (`G† P(β) X₁ P(−β) X₁ G`) with linear circuit depth and
 //!   two clean ancillas, plus ancilla-based MCX/MCPhase constructions.
@@ -42,7 +45,6 @@
 
 #![warn(missing_docs)]
 
-mod batch;
 mod circuit;
 pub mod compact;
 mod counts;
@@ -60,7 +62,6 @@ mod synth;
 mod transpile;
 mod workspace;
 
-pub use batch::BatchWorkspace;
 pub use circuit::Circuit;
 pub use compact::CompactStateVector;
 pub use counts::Counts;

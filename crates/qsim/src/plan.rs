@@ -10,18 +10,21 @@
 //!    partners are materialized, phases never grow support), producing
 //!    the final feasible basis `F` (sorted),
 //! 2. every gate is lowered to a [`PlanStep`] of precomputed rank tables
-//!    into `F` — scatter/gather pair lists, subspace rank lists, per-rank
-//!    diagonal polynomial values.
+//!    into `F` — scatter/gather pair lists, subspace rank lists, the
+//!    distinct values of a diagonal polynomial and each rank's index
+//!    into them.
 //!
-//! Replay ([`GatePlan::apply_step`], gate by gate) then walks the
-//! *current* circuit in lockstep with the steps, reading angles/matrices
-//! from the gates and ranks from the plan: cache-friendly strided loops
-//! over a flat `Vec<Complex64>` of length `|F|`, threaded through
-//! [`SimConfig::effective_threads`], with zero map operations and zero
-//! allocations. Every arithmetic expression mirrors the dense engine
-//! operand for operand, so the two engines stay bit-identical —
-//! structurally-supported slots that are numerically zero hold exact
-//! zeros here and contribute exact IEEE no-ops to every kernel.
+//! Replay ([`GatePlan::apply_step`], the one executor) then walks K
+//! same-shape circuits in lockstep with the steps, reading each lane's
+//! angles/matrices from its own gates and ranks from the plan. The
+//! amplitudes live rank-major (`amps[rank·K + lane]`, see
+//! [`crate::CompactStateVector`]), so every rank table is traversed once
+//! per step whatever K is; a serial run is K = 1. Loops are threaded
+//! through [`SimConfig::effective_threads`], with zero map operations and
+//! zero allocations once warm. Pair steps evaluate the same
+//! [`PairKernel`] the dense engine uses, so the two engines stay
+//! bit-identical — structurally-supported slots that are numerically zero
+//! hold exact zeros here and contribute exact IEEE no-ops to every kernel.
 //!
 //! Compilation *fails over* instead of compiling pathological shapes:
 //! once the structural support crosses [`SimConfig::density_threshold`]
@@ -30,7 +33,7 @@
 
 use crate::circuit::Circuit;
 use crate::gate::Gate;
-use crate::kernels::{dispatch, AmpPtr};
+use crate::kernels::{self, dispatch, AmpPtr, PairKernel};
 use crate::phasepoly::PhasePoly;
 use crate::simconfig::SimConfig;
 use choco_mathkit::Complex64;
@@ -158,7 +161,27 @@ fn shape_atom(gate: &Gate) -> ShapeAtom {
         }
         Gate::McPhase { qubits, .. } => ShapeAtom::Masks(tag, mask_of(qubits), 0, 0),
         Gate::XyMix(a, b, _) => ShapeAtom::Masks(tag, 1u64 << a, 1u64 << b, 0),
-        g1q => ShapeAtom::Masks(tag, 1u64 << g1q.qubits()[0], 0, 0),
+        g1q => ShapeAtom::Masks(tag, 1u64 << qubit_1q(g1q), 0, 0),
+    }
+}
+
+/// The qubit of a one-qubit gate (without the `Vec` of
+/// [`Gate::qubits`], so shape matching stays allocation-free).
+fn qubit_1q(gate: &Gate) -> usize {
+    match gate {
+        Gate::H(q)
+        | Gate::X(q)
+        | Gate::Y(q)
+        | Gate::Z(q)
+        | Gate::S(q)
+        | Gate::Sdg(q)
+        | Gate::T(q)
+        | Gate::Tdg(q)
+        | Gate::Rx(q, _)
+        | Gate::Ry(q, _)
+        | Gate::Rz(q, _)
+        | Gate::Phase(q, _) => *q,
+        other => unreachable!("gate {other} is not a one-qubit gate"),
     }
 }
 
@@ -168,15 +191,23 @@ fn atom_matches(atom: &ShapeAtom, gate: &Gate) -> bool {
             weak.upgrade().is_some_and(|live| Arc::ptr_eq(&live, poly))
         }
         (ShapeAtom::Diag(_), _) | (_, Gate::DiagPhase(..)) => false,
+        // Compared field by field: building the gate's atom would collect
+        // its shifts into a fresh `Vec` on every lookup.
+        (ShapeAtom::Shift(full, v, shifts), Gate::ShiftBlock(b)) => {
+            (*full, *v) == (b.full_mask(), b.pattern_abs())
+                && shifts.len() == b.shifts.len()
+                && shifts
+                    .iter()
+                    .zip(&b.shifts)
+                    .all(|(atom, s)| *atom == (s.mask(), s.delta, s.max_value))
+        }
+        (ShapeAtom::Shift(..), _) | (_, Gate::ShiftBlock(_)) => false,
         (atom, gate) => match (atom, shape_atom(gate)) {
             (ShapeAtom::Masks(t0, a0, b0, c0), ShapeAtom::Masks(t1, a1, b1, c1)) => {
                 (*t0, *a0, *b0, *c0) == (t1, a1, b1, c1)
             }
             (ShapeAtom::CtrlU(c0, t0, m0), ShapeAtom::CtrlU(c1, t1, m1)) => {
                 (*c0, *t0, *m0) == (c1, t1, m1)
-            }
-            (ShapeAtom::Shift(f0, v0, s0), ShapeAtom::Shift(f1, v1, s1)) => {
-                (*f0, *v0) == (f1, v1) && *s0 == s1
             }
             _ => false,
         },
@@ -378,17 +409,16 @@ enum PlanStep {
     /// Disjoint rank pairs `(i, j)` for the pair kernels; the 2×2
     /// arithmetic comes from the gate at replay time.
     Pairs { pairs: Vec<[u32; 2]> },
-    /// Diagonal polynomial: per-rank non-zero values, baked at compile
-    /// time (the polynomial never changes under a stable shape — only the
-    /// angle θ does). `distinct` / `value_idx` are the bit-deduplicated
-    /// value table and each rank's index into it: structured cost
-    /// polynomials repeat the same sum over many feasible states, so the
-    /// batched replay computes `e^{-iθ·f}` once per *distinct* `f` per
+    /// Diagonal polynomial over the ranks where it is non-zero, baked at
+    /// compile time (the polynomial never changes under a stable shape —
+    /// only the angle θ does). `distinct` / `value_idx` are the
+    /// bit-deduplicated value table and each rank's index into it:
+    /// structured cost polynomials repeat the same sum over many feasible
+    /// states, so replay computes `e^{-iθ·f}` once per *distinct* `f` per
     /// lane instead of once per rank — bit-identical, because equal `f`
     /// bits give an equal `-θ·f` product and therefore equal `cis` bits.
     DiagPoly {
         ranks: Vec<u32>,
-        values: Vec<f64>,
         distinct: Vec<f64>,
         value_idx: Vec<u32>,
     },
@@ -572,7 +602,6 @@ impl GatePlan {
                         .collect();
                     PlanStep::DiagPoly {
                         ranks: ranks(bits),
-                        values,
                         distinct,
                         value_idx,
                     }
@@ -586,86 +615,38 @@ impl GatePlan {
         })
     }
 
-    /// Replays the plan over `amps` (length `|F|`), reading angles and
-    /// matrices from `circuit`'s gates. The caller must have verified
-    /// `self.shape().matches(circuit)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the gate count or amplitude length disagree with the
-    /// plan (a shape-match violation).
-    #[cfg(test)]
-    pub(crate) fn execute(&self, circuit: &Circuit, amps: &mut [Complex64], config: &SimConfig) {
-        assert_eq!(circuit.len(), self.steps.len(), "shape mismatch");
-        for (index, gate) in circuit.iter().enumerate() {
-            self.apply_step(index, gate, amps, config);
-        }
+    /// Number of steps: one per gate of the compiled shape.
+    pub(crate) fn len(&self) -> usize {
+        self.steps.len()
     }
 
-    /// Applies step `index` of the plan to `amps` (length `|F|`), reading
-    /// angles and matrices from `gate` — gate `index` of a circuit whose
-    /// shape matches this plan. [`crate::SimWorkspace`] replays a circuit
-    /// by calling this for every gate in order.
+    /// Applies step `index` of the plan to `K = circuits.len()` amplitude
+    /// lanes, reading each lane's angles and matrices from gate `index` of
+    /// its own circuit. `amps` is the rank-major layout
+    /// `amps[rank * K + lane]` of length `K·|F|`: the K lanes of one basis
+    /// rank are contiguous, so the step's rank tables are traversed once
+    /// while the inner loops run over the lanes. A serial run is the
+    /// one-lane case.
+    ///
+    /// Every lane resolves its own kernel from its own gate's values (an
+    /// `Rx(0)` lane takes the diagonal branch while an `Rx(0.5)` lane of
+    /// the same step takes the general one) and evaluates the same
+    /// [`PairKernel`] expressions as the dense engine, so a lane's
+    /// amplitudes depend on neither the other lanes, the lane count nor the
+    /// thread count. The caller must have verified
+    /// `self.shape().matches(c)` for every circuit.
     ///
     /// # Panics
     ///
-    /// Panics if `index` is past the plan, the amplitude length is not
-    /// `|F|`, or `gate` is not the kind the step was compiled from.
+    /// Panics if `index` is past the plan, the batch is empty, the
+    /// amplitude length is not `K·|F|`, or a gate is not the kind its step
+    /// was compiled from.
     pub(crate) fn apply_step(
         &self,
         index: usize,
-        gate: &Gate,
-        amps: &mut [Complex64],
-        config: &SimConfig,
-    ) {
-        assert_eq!(amps.len(), self.basis.len(), "basis length mismatch");
-        match &self.steps[index] {
-            PlanStep::Noop => {}
-            PlanStep::Phase { ranks } => {
-                let phase = phase_factor(gate);
-                scale_ranks(amps, ranks, phase, config);
-            }
-            PlanStep::DiagPair { ranks0, ranks1 } => {
-                let m = gate_matrix_1q(gate);
-                for (d, ranks) in [(m[0][0], ranks0), (m[1][1], ranks1)] {
-                    if d != Complex64::ONE {
-                        scale_ranks(amps, ranks, d, config);
-                    }
-                }
-            }
-            PlanStep::Pairs { pairs } => apply_pairs(amps, pairs, gate, config),
-            PlanStep::DiagPoly { ranks, values, .. } => {
-                let Gate::DiagPhase(_, theta) = gate else {
-                    panic!("shape mismatch: expected a diagonal evolution, got {gate}");
-                };
-                apply_diag(amps, ranks, values, *theta, config);
-            }
-        }
-    }
-
-    /// Replays the plan over `K = circuits.len()` amplitude lanes in a
-    /// single pass over the rank tables. `amps` is the rank-major SoA
-    /// layout `amps[rank * K + lane]` of length `K·|F|` — all K candidates
-    /// for one basis rank are contiguous, so the rank/pair tables are
-    /// traversed once while the inner loops run over the K lanes.
-    ///
-    /// Every lane evaluates *exactly* the arithmetic expression sequence
-    /// the serial replay ([`GatePlan::apply_step`]) would apply to it
-    /// alone — including the value-based kernel dispatch per lane (an `Rx(0)` lane takes the
-    /// diagonal branch while an `Rx(0.5)` lane takes the real-matrix
-    /// branch of the same step) — so batched amplitudes are bit-identical
-    /// to K sequential replays at any thread count. The caller must have
-    /// verified `self.shape().matches(c)` for every circuit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch is empty, a gate count disagrees with the
-    /// plan, or the amplitude length is not `K·|F|`.
-    pub(crate) fn execute_batch(
-        &self,
         circuits: &[Circuit],
         amps: &mut [Complex64],
-        scratch: &mut BatchScratch,
+        scratch: &mut LaneScratch,
         config: &SimConfig,
     ) {
         let lanes = circuits.len();
@@ -673,91 +654,72 @@ impl GatePlan {
         assert_eq!(
             amps.len(),
             lanes * self.basis.len(),
-            "batch amplitude length mismatch"
+            "amplitude length mismatch"
         );
-        for c in circuits {
-            assert_eq!(c.len(), self.steps.len(), "shape mismatch");
-        }
-        for (gi, step) in self.steps.iter().enumerate() {
-            let gate_of = |lane: usize| &circuits[lane].gates()[gi];
-            match step {
-                PlanStep::Noop => {}
-                PlanStep::Phase { ranks } => {
-                    scratch.factors.clear();
-                    scratch
-                        .factors
-                        .extend((0..lanes).map(|lane| phase_factor(gate_of(lane))));
-                    scale_ranks_batch(amps, ranks, &scratch.factors, config);
+        let gates = circuits.iter().map(|c| &c.gates()[index]);
+        match &self.steps[index] {
+            PlanStep::Noop => {}
+            PlanStep::Phase { ranks } => {
+                scratch.factors.clear();
+                scratch.factors.extend(gates.map(phase_factor));
+                scale_ranks(amps, ranks, &scratch.factors, config, |a, f| a * f);
+            }
+            PlanStep::DiagPair { ranks0, ranks1 } => {
+                scratch.factors.clear();
+                scratch.factors1.clear();
+                for gate in gates {
+                    let m = gate_matrix_1q(gate);
+                    scratch.factors.push(m[0][0]);
+                    scratch.factors1.push(m[1][1]);
                 }
-                PlanStep::DiagPair { ranks0, ranks1 } => {
-                    scratch.diag0.clear();
-                    scratch.diag1.clear();
-                    for lane in 0..lanes {
-                        let m = gate_matrix_1q(gate_of(lane));
-                        scratch.diag0.push(m[0][0]);
-                        scratch.diag1.push(m[1][1]);
-                    }
-                    for (diag, ranks) in [(&scratch.diag0, ranks0), (&scratch.diag1, ranks1)] {
-                        // The serial path skips the scaling when the
-                        // diagonal entry is exactly one (a multiply by one
-                        // is not an IEEE no-op once `-0.0` is in play);
-                        // the skip moves inside the lane loop here.
-                        if diag.iter().any(|d| *d != Complex64::ONE) {
-                            scale_ranks_batch_skip_one(amps, ranks, diag, config);
-                        }
+                for (diag, ranks) in [(&scratch.factors, ranks0), (&scratch.factors1, ranks1)] {
+                    if diag.iter().any(|d| *d != Complex64::ONE) {
+                        scale_ranks(amps, ranks, diag, config, kernels::scale_unless_one);
                     }
                 }
-                PlanStep::Pairs { pairs } => {
-                    scratch.kernels.clear();
-                    scratch
-                        .kernels
-                        .extend((0..lanes).map(|lane| LaneKernel::of(gate_of(lane))));
-                    // The hot Choco-Q case — every lane a commute-block
-                    // rotation — runs on flat sin/cos lane arrays, which
-                    // the specialized loop turns into dense per-row
-                    // arithmetic instead of per-lane enum dispatch.
-                    if scratch
-                        .kernels
-                        .iter()
-                        .all(|k| matches!(k, LaneKernel::Rot { .. }))
-                    {
-                        scratch.sins.clear();
-                        scratch.coss.clear();
-                        for k in &scratch.kernels {
-                            let LaneKernel::Rot { sin, cos } = *k else {
-                                unreachable!("checked all-rotation above");
-                            };
-                            scratch.sins.push(sin);
-                            scratch.coss.push(cos);
-                        }
-                        apply_pairs_batch_rot(amps, pairs, &scratch.sins, &scratch.coss, config);
-                    } else {
-                        apply_pairs_batch(amps, pairs, &scratch.kernels, config);
+            }
+            PlanStep::Pairs { pairs } => {
+                scratch.kernels.clear();
+                scratch.sins.clear();
+                scratch.coss.clear();
+                for gate in gates {
+                    let kernel = pair_kernel(gate);
+                    if let PairKernel::Rot { sin, cos } = kernel {
+                        scratch.sins.push(sin);
+                        scratch.coss.push(cos);
                     }
+                    scratch.kernels.push(kernel);
                 }
-                PlanStep::DiagPoly {
+                // The hot Choco-Q case — every lane a commute-block
+                // rotation — runs on flat sin/cos lane arrays instead of
+                // per-lane kernel dispatch.
+                if scratch.sins.len() == lanes {
+                    apply_rotations(amps, pairs, &scratch.sins, &scratch.coss, config);
+                } else {
+                    apply_pairs(amps, pairs, &scratch.kernels, config);
+                }
+            }
+            PlanStep::DiagPoly {
+                ranks,
+                distinct,
+                value_idx,
+            } => {
+                scratch.thetas.clear();
+                scratch.thetas.extend(gates.map(|gate| {
+                    let Gate::DiagPhase(_, theta) = gate else {
+                        panic!("shape mismatch: expected a diagonal evolution, got {gate}");
+                    };
+                    *theta
+                }));
+                apply_diag(
+                    amps,
                     ranks,
                     distinct,
                     value_idx,
-                    ..
-                } => {
-                    scratch.thetas.clear();
-                    scratch.thetas.extend((0..lanes).map(|lane| {
-                        let Gate::DiagPhase(_, theta) = gate_of(lane) else {
-                            panic!("shape mismatch: expected a diagonal evolution");
-                        };
-                        *theta
-                    }));
-                    apply_diag_batch(
-                        amps,
-                        ranks,
-                        distinct,
-                        value_idx,
-                        &scratch.thetas,
-                        &mut scratch.factor_table,
-                        config,
-                    );
-                }
+                    &scratch.thetas,
+                    &mut scratch.factor_table,
+                    config,
+                );
             }
         }
     }
@@ -816,155 +778,30 @@ fn gate_matrix_1q(gate: &Gate) -> [[Complex64; 2]; 2] {
     }
 }
 
-/// Multiplies the listed ranks by `factor`, fanning out across workers
-/// above the parallel threshold. Ranks within one list are distinct, so
-/// chunked workers write disjoint slots.
-fn scale_ranks(amps: &mut [Complex64], ranks: &[u32], factor: Complex64, config: &SimConfig) {
-    let ptr = AmpPtr(amps.as_mut_ptr());
-    dispatch(config, ranks.len(), |range| {
-        let base = ptr.get();
-        for &r in &ranks[range] {
-            // SAFETY: ranks are in-bounds by construction and distinct
-            // within the list; workers own disjoint chunks.
-            unsafe {
-                let a = base.add(r as usize);
-                *a *= factor;
-            }
-        }
-    });
-}
-
-/// Applies the diagonal phase `e^{-iθ·f}` per listed rank (the `f != 0`
-/// filter already happened at compile time, mirroring the dense
-/// engine's per-amplitude branch).
-fn apply_diag(
-    amps: &mut [Complex64],
-    ranks: &[u32],
-    values: &[f64],
-    theta: f64,
-    config: &SimConfig,
-) {
-    debug_assert_eq!(ranks.len(), values.len());
-    let ptr = AmpPtr(amps.as_mut_ptr());
-    dispatch(config, ranks.len(), |range| {
-        let base = ptr.get();
-        for (&r, &f) in ranks[range.clone()].iter().zip(values[range].iter()) {
-            // SAFETY: in-bounds, distinct ranks, disjoint worker chunks.
-            unsafe {
-                let a = base.add(r as usize);
-                *a *= Complex64::cis(-theta * f);
-            }
-        }
-    });
-}
-
-/// Applies a pair step with the gate's 2×2 arithmetic, dispatching on the
-/// *values* exactly like the dense engine's kernels, so degenerate angles
-/// reproduce its expressions.
-fn apply_pairs(amps: &mut [Complex64], pairs: &[[u32; 2]], gate: &Gate, config: &SimConfig) {
+/// The kernel a [`PlanStep::Pairs`] gate applies, resolved from its
+/// current values exactly as the dense engine resolves it.
+fn pair_kernel(gate: &Gate) -> PairKernel {
     match gate {
-        // Permutations: swap the two slots.
-        Gate::Cx(..) | Gate::Ccx(..) | Gate::Mcx { .. } | Gate::Swap(..) => {
-            pair_loop(amps, pairs, config, |a, b| (b, a));
-        }
-        // Commute-block rotation (XY-mixer = doubled angle).
-        Gate::UBlock(_) | Gate::ShiftBlock(_) | Gate::XyMix(..) => {
-            let theta = match gate {
-                Gate::UBlock(b) => b.angle,
-                Gate::ShiftBlock(b) => b.angle,
-                Gate::XyMix(_, _, t) => 2.0 * t,
-                _ => unreachable!(),
-            };
-            let (sin, cos) = theta.sin_cos();
-            pair_loop(amps, pairs, config, move |a, b| {
-                (
-                    Complex64::new(cos * a.re + sin * b.im, cos * a.im - sin * b.re),
-                    Complex64::new(cos * b.re + sin * a.im, cos * b.im - sin * a.re),
-                )
-            });
-        }
-        // 1q / controlled-1q: shape dispatch on the current matrix.
-        g => {
-            let m = gate_matrix_1q(g);
-            let diagonal = m[0][1] == Complex64::ZERO && m[1][0] == Complex64::ZERO;
-            if diagonal {
-                // A kind-pair gate momentarily diagonal (e.g. `Rx(0)`):
-                // the pair's low slot is the controls-side subspace, the
-                // high slot the fixed side — the same two scalings the
-                // dense engine would perform.
-                for (d, side) in [(m[0][0], 0usize), (m[1][1], 1usize)] {
-                    if d != Complex64::ONE {
-                        let ptr = AmpPtr(amps.as_mut_ptr());
-                        dispatch(config, pairs.len(), |range| {
-                            let base = ptr.get();
-                            for p in &pairs[range] {
-                                // SAFETY: disjoint pairs, in-bounds ranks.
-                                unsafe {
-                                    let a = base.add(p[side] as usize);
-                                    *a *= d;
-                                }
-                            }
-                        });
-                    }
-                }
-                return;
-            }
-            let anti_diagonal = m[0][0] == Complex64::ZERO && m[1][1] == Complex64::ZERO;
-            if anti_diagonal {
-                let (m01, m10) = (m[0][1], m[1][0]);
-                pair_loop(amps, pairs, config, move |a, b| (m01 * b, m10 * a));
-                return;
-            }
-            let real = m.iter().flatten().all(|c| c.im == 0.0);
-            if real {
-                let (r00, r01, r10, r11) = (m[0][0].re, m[0][1].re, m[1][0].re, m[1][1].re);
-                pair_loop(amps, pairs, config, move |a, b| {
-                    (a.scale(r00) + b.scale(r01), a.scale(r10) + b.scale(r11))
-                });
-                return;
-            }
-            pair_loop(amps, pairs, config, move |a, b| {
-                (m[0][0] * a + m[0][1] * b, m[1][0] * a + m[1][1] * b)
-            });
-        }
+        Gate::Cx(..) | Gate::Ccx(..) | Gate::Mcx { .. } | Gate::Swap(..) => PairKernel::Swap,
+        Gate::UBlock(b) => PairKernel::rotation(b.angle),
+        Gate::ShiftBlock(b) => PairKernel::rotation(b.angle),
+        // XX+YY = 2(|01⟩⟨10| + |10⟩⟨01|): the doubled angle.
+        Gate::XyMix(_, _, theta) => PairKernel::rotation(2.0 * theta),
+        g => PairKernel::of_matrix(gate_matrix_1q(g)),
     }
 }
 
-/// Runs `op` over every rank pair, threaded per the configuration. Pairs
-/// are disjoint (each rank appears in at most one pair of a step), so
-/// chunked workers touch disjoint slots.
-fn pair_loop<Op>(amps: &mut [Complex64], pairs: &[[u32; 2]], config: &SimConfig, op: Op)
-where
-    Op: Fn(Complex64, Complex64) -> (Complex64, Complex64) + Sync,
-{
-    let ptr = AmpPtr(amps.as_mut_ptr());
-    dispatch(config, pairs.len(), |range| {
-        let base = ptr.get();
-        for p in &pairs[range] {
-            // SAFETY: ranks in-bounds; pairs disjoint; worker chunks
-            // partition the pair list.
-            unsafe {
-                let pa = base.add(p[0] as usize);
-                let pb = base.add(p[1] as usize);
-                let (a, b) = op(*pa, *pb);
-                *pa = a;
-                *pb = b;
-            }
-        }
-    });
-}
-
-/// Reusable per-gate lane-parameter buffers for
-/// [`GatePlan::execute_batch`]: after the first replay of a shape no
-/// batched iteration allocates (mirroring the serial path's
-/// zero-allocation contract).
-#[derive(Debug, Default)]
-pub(crate) struct BatchScratch {
+/// Reusable per-step lane-parameter buffers for [`GatePlan::apply_step`]:
+/// after the first replay of a shape at a lane count, no replay
+/// allocates.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct LaneScratch {
+    /// Per-lane phase factors, or `m[0][0]` of a diagonal 2×2.
     factors: Vec<Complex64>,
+    /// Per-lane `m[1][1]` of a diagonal 2×2.
+    factors1: Vec<Complex64>,
     thetas: Vec<f64>,
-    diag0: Vec<Complex64>,
-    diag1: Vec<Complex64>,
-    kernels: Vec<LaneKernel>,
+    kernels: Vec<PairKernel>,
     /// Flat per-lane rotation parameters for the all-rotation pair loop.
     sins: Vec<f64>,
     coss: Vec<f64>,
@@ -973,103 +810,15 @@ pub(crate) struct BatchScratch {
     factor_table: Vec<Complex64>,
 }
 
-/// The per-lane 2×2 kernel a [`PlanStep::Pairs`] gate resolved to — the
-/// same value-based dispatch [`apply_pairs`] performs, frozen per lane so
-/// the batched pair loop replays each lane's exact serial branch.
-#[derive(Clone, Copy, Debug)]
-enum LaneKernel {
-    /// Permutation gates: swap the two slots.
-    Swap,
-    /// Commute-block rotation (XY-mixer = doubled angle).
-    Rot { sin: f64, cos: f64 },
-    /// Momentarily diagonal kind-pair gate (e.g. `Rx(0)`): two subspace
-    /// scalings, each skipped when its entry is exactly one.
-    Diag { d0: Complex64, d1: Complex64 },
-    /// Momentarily anti-diagonal matrix (e.g. `X`, `Rx(π)` up to phase).
-    AntiDiag { m01: Complex64, m10: Complex64 },
-    /// All-real matrix (e.g. `H`, `Ry`): four real scalings.
-    Real {
-        r00: f64,
-        r01: f64,
-        r10: f64,
-        r11: f64,
-    },
-    /// The general complex 2×2.
-    Full { m: [[Complex64; 2]; 2] },
-}
-
-impl LaneKernel {
-    /// Classifies one lane's gate exactly like [`apply_pairs`].
-    fn of(gate: &Gate) -> LaneKernel {
-        match gate {
-            Gate::Cx(..) | Gate::Ccx(..) | Gate::Mcx { .. } | Gate::Swap(..) => LaneKernel::Swap,
-            Gate::UBlock(_) | Gate::ShiftBlock(_) | Gate::XyMix(..) => {
-                let theta = match gate {
-                    Gate::UBlock(b) => b.angle,
-                    Gate::ShiftBlock(b) => b.angle,
-                    Gate::XyMix(_, _, t) => 2.0 * t,
-                    _ => unreachable!(),
-                };
-                let (sin, cos) = theta.sin_cos();
-                LaneKernel::Rot { sin, cos }
-            }
-            g => {
-                let m = gate_matrix_1q(g);
-                if m[0][1] == Complex64::ZERO && m[1][0] == Complex64::ZERO {
-                    LaneKernel::Diag {
-                        d0: m[0][0],
-                        d1: m[1][1],
-                    }
-                } else if m[0][0] == Complex64::ZERO && m[1][1] == Complex64::ZERO {
-                    LaneKernel::AntiDiag {
-                        m01: m[0][1],
-                        m10: m[1][0],
-                    }
-                } else if m.iter().flatten().all(|c| c.im == 0.0) {
-                    LaneKernel::Real {
-                        r00: m[0][0].re,
-                        r01: m[0][1].re,
-                        r10: m[1][0].re,
-                        r11: m[1][1].re,
-                    }
-                } else {
-                    LaneKernel::Full { m }
-                }
-            }
-        }
-    }
-
-    /// Applies this lane's kernel to one `(low, high)` slot pair — the
-    /// exact expression [`apply_pairs`] would evaluate for this lane.
-    #[inline]
-    fn apply(self, a: Complex64, b: Complex64) -> (Complex64, Complex64) {
-        match self {
-            LaneKernel::Swap => (b, a),
-            LaneKernel::Rot { sin, cos } => (
-                Complex64::new(cos * a.re + sin * b.im, cos * a.im - sin * b.re),
-                Complex64::new(cos * b.re + sin * a.im, cos * b.im - sin * a.re),
-            ),
-            LaneKernel::Diag { d0, d1 } => (
-                if d0 != Complex64::ONE { a * d0 } else { a },
-                if d1 != Complex64::ONE { b * d1 } else { b },
-            ),
-            LaneKernel::AntiDiag { m01, m10 } => (m01 * b, m10 * a),
-            LaneKernel::Real { r00, r01, r10, r11 } => {
-                (a.scale(r00) + b.scale(r01), a.scale(r10) + b.scale(r11))
-            }
-            LaneKernel::Full { m } => (m[0][0] * a + m[0][1] * b, m[1][0] * a + m[1][1] * b),
-        }
-    }
-}
-
-/// Batched [`scale_ranks`]: multiplies every listed rank's K lanes by the
-/// per-lane factors, unconditionally (the phase-step contract). Workers
-/// chunk over ranks, so every `rank × lane` slot has exactly one writer.
-fn scale_ranks_batch(
+/// Updates every listed rank's K lanes to `op(amp, factor)` with the
+/// per-lane factors. Ranks within one list are distinct and workers chunk
+/// over ranks, so every `rank × lane` slot has exactly one writer.
+fn scale_ranks(
     amps: &mut [Complex64],
     ranks: &[u32],
     factors: &[Complex64],
     config: &SimConfig,
+    op: impl Fn(Complex64, Complex64) -> Complex64 + Sync,
 ) {
     let lanes = factors.len();
     let ptr = AmpPtr(amps.as_mut_ptr());
@@ -1082,41 +831,17 @@ fn scale_ranks_batch(
             unsafe {
                 let row = base.add(r as usize * lanes);
                 for (lane, &f) in factors.iter().enumerate() {
-                    *row.add(lane) *= f;
+                    let a = row.add(lane);
+                    *a = op(*a, f);
                 }
             }
         }
     });
 }
 
-/// Batched diagonal scaling with the serial path's per-gate `d != 1`
-/// skip applied per lane (see [`GatePlan::apply_step`]'s `DiagPair` arm).
-fn scale_ranks_batch_skip_one(
-    amps: &mut [Complex64],
-    ranks: &[u32],
-    factors: &[Complex64],
-    config: &SimConfig,
-) {
-    let lanes = factors.len();
-    let ptr = AmpPtr(amps.as_mut_ptr());
-    dispatch(config, ranks.len(), |range| {
-        let base = ptr.get();
-        for &r in &ranks[range] {
-            // SAFETY: as in `scale_ranks_batch`.
-            unsafe {
-                let row = base.add(r as usize * lanes);
-                for (lane, &f) in factors.iter().enumerate() {
-                    if f != Complex64::ONE {
-                        *row.add(lane) *= f;
-                    }
-                }
-            }
-        }
-    });
-}
-
-/// Batched [`apply_diag`]: per rank, every lane multiplies by its own
-/// `e^{-iθ_lane·f}` — the identical expression the serial replay applies.
+/// Applies `e^{-iθ_lane·f}` to every listed rank's lanes (the `f != 0`
+/// filter already happened at compile time, mirroring the dense engine's
+/// per-amplitude branch).
 ///
 /// The transcendental work is hoisted out of the rank loop: `e^{-iθ·f}`
 /// is computed once per *distinct* polynomial value per lane into
@@ -1125,8 +850,8 @@ fn scale_ranks_batch_skip_one(
 /// repeat a handful of sums across the whole feasible set, so this
 /// replaces `|F|` sin/cos evaluations per lane with `|distinct|` — the
 /// factor bits are unchanged (equal `f` bits ⇒ equal `-θ·f` ⇒ equal
-/// `cis`), so every lane stays bit-identical to its serial replay.
-fn apply_diag_batch(
+/// `cis`), so every lane stays bit-identical to the dense engine.
+fn apply_diag(
     amps: &mut [Complex64],
     ranks: &[u32],
     distinct: &[f64],
@@ -1150,7 +875,7 @@ fn apply_diag_batch(
         let base = ptr.get();
         for (&r, &fi) in ranks[range.clone()].iter().zip(value_idx[range].iter()) {
             let factors = &table[fi as usize * lanes..fi as usize * lanes + lanes];
-            // SAFETY: as in `scale_ranks_batch`.
+            // SAFETY: as in `scale_ranks`.
             unsafe {
                 let row = base.add(r as usize * lanes);
                 for (lane, &factor) in factors.iter().enumerate() {
@@ -1161,55 +886,37 @@ fn apply_diag_batch(
     });
 }
 
-/// The all-rotation specialization of [`apply_pairs_batch`]: every lane
-/// is a commute-block rotation, evaluated with exactly the serial
-/// rotation expression. The lane dimension is tiled in blocks of four:
-/// a block's eight `sin`/`cos` values stay register-resident across the
+/// The all-rotation pair step: every lane is a commute-block rotation
+/// ([`kernels::rotate`]). The lane dimension is tiled in blocks of up to
+/// four: a tile's `sin`/`cos` values stay register-resident across the
 /// whole pair-table pass (a lane-minor loop over all K spills them every
 /// iteration), while each pass still consumes contiguous quarter-rows of
-/// the SoA layout (a fully lane-major loop would stream every cache line
-/// K times for one lane's worth of work).
-fn apply_pairs_batch_rot(
+/// the rank-major layout (a fully lane-major loop would stream every cache
+/// line K times for one lane's worth of work).
+fn apply_rotations(
     amps: &mut [Complex64],
     pairs: &[[u32; 2]],
     sins: &[f64],
     coss: &[f64],
     config: &SimConfig,
 ) {
-    const BLOCK: usize = 4;
     let lanes = sins.len();
     let ptr = AmpPtr(amps.as_mut_ptr());
     dispatch(config, pairs.len(), |range| {
-        let base = ptr.get();
+        let (base, pairs) = (ptr.get(), &pairs[range]);
         let mut start = 0;
         while start < lanes {
-            let width = BLOCK.min(lanes - start);
-            if width == BLOCK {
-                let s: [f64; BLOCK] = sins[start..start + BLOCK].try_into().expect("block");
-                let c: [f64; BLOCK] = coss[start..start + BLOCK].try_into().expect("block");
-                for p in &pairs[range.clone()] {
-                    // SAFETY: pairs disjoint, ranks in-bounds; worker
-                    // chunks partition the pair list and own all K lanes
-                    // of their pairs.
-                    unsafe {
-                        let row_a = base.add(p[0] as usize * lanes + start);
-                        let row_b = base.add(p[1] as usize * lanes + start);
-                        for lane in 0..BLOCK {
-                            rot_one_lane(row_a.add(lane), row_b.add(lane), s[lane], c[lane]);
-                        }
-                    }
-                }
-            } else {
-                let (s, c) = (&sins[start..start + width], &coss[start..start + width]);
-                for p in &pairs[range.clone()] {
-                    // SAFETY: as above.
-                    unsafe {
-                        let row_a = base.add(p[0] as usize * lanes + start);
-                        let row_b = base.add(p[1] as usize * lanes + start);
-                        for lane in 0..width {
-                            rot_one_lane(row_a.add(lane), row_b.add(lane), s[lane], c[lane]);
-                        }
-                    }
+            let width = (lanes - start).min(4);
+            let (s, c) = (&sins[start..start + width], &coss[start..start + width]);
+            // SAFETY: pairs disjoint, ranks in-bounds; worker chunks
+            // partition the pair list and own all K lanes of their pairs,
+            // and `start + width <= lanes`.
+            unsafe {
+                match width {
+                    4 => rotate_tile::<4>(base, pairs, lanes, start, s, c),
+                    3 => rotate_tile::<3>(base, pairs, lanes, start, s, c),
+                    2 => rotate_tile::<2>(base, pairs, lanes, start, s, c),
+                    _ => rotate_tile::<1>(base, pairs, lanes, start, s, c),
                 }
             }
             start += width;
@@ -1217,27 +924,44 @@ fn apply_pairs_batch_rot(
     });
 }
 
-/// One lane of the commute-block rotation — the exact expression the
-/// serial [`apply_pairs`] rotation closure evaluates.
+/// One pass of the pair table over lanes `start..start + W`, with the
+/// tile's `W` rotations held in fixed-size arrays.
 ///
 /// # Safety
 ///
-/// `pa` and `pb` must be valid, distinct amplitude slots.
+/// `base` must point at a rank-major buffer of `lanes` lanes holding every
+/// rank in `pairs`, the pairs must be disjoint, no other thread may touch
+/// their slots, and `start + W <= lanes`.
 #[inline(always)]
-unsafe fn rot_one_lane(pa: *mut Complex64, pb: *mut Complex64, sin: f64, cos: f64) {
-    let (a, b) = (*pa, *pb);
-    *pa = Complex64::new(cos * a.re + sin * b.im, cos * a.im - sin * b.re);
-    *pb = Complex64::new(cos * b.re + sin * a.im, cos * b.im - sin * a.re);
+unsafe fn rotate_tile<const W: usize>(
+    base: *mut Complex64,
+    pairs: &[[u32; 2]],
+    lanes: usize,
+    start: usize,
+    sins: &[f64],
+    coss: &[f64],
+) {
+    let s: [f64; W] = sins.try_into().expect("tile width");
+    let c: [f64; W] = coss.try_into().expect("tile width");
+    for p in pairs {
+        let row_a = base.add(p[0] as usize * lanes + start);
+        let row_b = base.add(p[1] as usize * lanes + start);
+        for lane in 0..W {
+            let (pa, pb) = (row_a.add(lane), row_b.add(lane));
+            let (a, b) = kernels::rotate(s[lane], c[lane], *pa, *pb);
+            *pa = a;
+            *pb = b;
+        }
+    }
 }
 
-/// Batched [`apply_pairs`] for mixed batches: one traversal of the pair
-/// table updates all K lanes, each through its own frozen [`LaneKernel`]
-/// (all-rotation batches take [`apply_pairs_batch_rot`] instead). Every
-/// lane evaluates the same per-lane expression as its serial replay.
-fn apply_pairs_batch(
+/// The general pair step: one traversal of the pair table updates all K
+/// lanes, each through its own [`PairKernel`] (all-rotation steps take
+/// [`apply_rotations`] instead).
+fn apply_pairs(
     amps: &mut [Complex64],
     pairs: &[[u32; 2]],
-    kernels: &[LaneKernel],
+    kernels: &[PairKernel],
     config: &SimConfig,
 ) {
     let lanes = kernels.len();
@@ -1287,11 +1011,21 @@ mod tests {
         confined_circuit_with(&test_poly(), theta)
     }
 
-    fn run_plan(circuit: &Circuit, plan: &GatePlan) -> Vec<Complex64> {
-        let mut amps = vec![Complex64::ZERO; plan.basis().len()];
-        amps[0] = Complex64::ONE;
-        plan.execute(circuit, &mut amps, &SimConfig::serial());
+    /// Replays `plan` from `|0…0⟩` over one lane per circuit and returns
+    /// the rank-major amplitudes.
+    fn replay(circuits: &[Circuit], plan: &GatePlan, config: &SimConfig) -> Vec<Complex64> {
+        let k = circuits.len();
+        let mut amps = vec![Complex64::ZERO; k * plan.basis().len()];
+        amps[..k].fill(Complex64::ONE); // rank 0, every lane
+        let mut scratch = LaneScratch::default();
+        for index in 0..plan.len() {
+            plan.apply_step(index, circuits, &mut amps, &mut scratch, config);
+        }
         amps
+    }
+
+    fn run_plan(circuit: &Circuit, plan: &GatePlan) -> Vec<Complex64> {
+        replay(std::slice::from_ref(circuit), plan, &SimConfig::serial())
     }
 
     /// Asserts the plan replay equals the dense engine bit for bit on
@@ -1509,19 +1243,15 @@ mod tests {
         assert_eq!(merge_sorted(&[7], &[]), vec![7]);
     }
 
-    /// Runs the batch through `execute_batch` and asserts every lane is
-    /// bit-identical to its own serial `execute` replay.
+    /// Replays the batch and asserts every lane is bit-identical to a
+    /// one-lane replay of its own circuit, which matches the dense engine.
     fn assert_batch_matches_serial(circuits: &[Circuit], plan: &GatePlan, config: &SimConfig) {
         let k = circuits.len();
         let f = plan.basis().len();
-        let mut batched = vec![Complex64::ZERO; k * f];
-        for slot in batched.iter_mut().take(k) {
-            *slot = Complex64::ONE; // rank 0, every lane
-        }
-        let mut scratch = BatchScratch::default();
-        plan.execute_batch(circuits, &mut batched, &mut scratch, config);
+        let batched = replay(circuits, plan, config);
         for (lane, circuit) in circuits.iter().enumerate() {
             let serial = run_plan(circuit, plan);
+            assert_matches_dense(circuit, plan, &serial);
             for rank in 0..f {
                 let (a, b) = (batched[rank * k + lane], serial[rank]);
                 assert!(
@@ -1587,7 +1317,7 @@ mod tests {
 
     #[test]
     fn batch_wider_than_the_basis_is_fine() {
-        // K = 17 lanes on a tiny feasible subspace (K > |F|) — the SoA
+        // K = 17 lanes on a tiny feasible subspace (K > |F|) — the lane
         // layout is rank-major, so nothing special happens; the loops just
         // run more lanes than ranks.
         let poly = test_poly();

@@ -101,7 +101,8 @@ pub struct SimConfig {
     /// the dense engine instead. Ignored by [`EngineKind::Dense`].
     pub density_threshold: f64,
     /// How many candidate angle sets a batched compact replay evaluates
-    /// per plan traversal (`1` = the serial path; the default). Consumers
+    /// per plan traversal, as lanes (`1` = one candidate per replay; the
+    /// default). Consumers
     /// with independent evaluations ready — a simplex construction, a
     /// geometry rebuild — hand up to this many circuits of one shape to
     /// [`crate::SimWorkspace::run_batch`] at once. Purely a performance
@@ -172,7 +173,7 @@ impl SimConfig {
     }
 
     /// The same configuration with a different batch size (0 is clamped
-    /// to 1, the serial path).
+    /// to 1, one candidate per replay).
     pub fn with_batch(self, batch_size: usize) -> Self {
         SimConfig {
             batch_size: batch_size.max(1),

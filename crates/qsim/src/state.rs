@@ -20,7 +20,7 @@
 use crate::circuit::Circuit;
 use crate::counts::Counts;
 use crate::gate::{Gate, ShiftBlock, UBlock};
-use crate::kernels;
+use crate::kernels::{self, PairKernel};
 use crate::phasepoly::PhasePoly;
 use crate::simconfig::SimConfig;
 use choco_mathkit::Complex64;
@@ -214,8 +214,9 @@ impl StateVector {
     }
 
     /// Applies a 2×2 unitary to qubit `q` conditioned on all bits of
-    /// `controls_mask` being 1, dispatching on the matrix shape so
-    /// diagonal and real matrices skip the full complex arithmetic.
+    /// `controls_mask` being 1, dispatching on the matrix values (the
+    /// pair-kernel classifier the compact engine shares) so diagonal and
+    /// real matrices skip the full complex arithmetic.
     pub fn apply_controlled_1q(&mut self, controls_mask: u64, m: [[Complex64; 2]; 2], q: usize) {
         let t = 1u64 << q;
         if controls_mask & t != 0 {
@@ -223,51 +224,27 @@ impl StateVector {
             return;
         }
         let fixed = controls_mask | t;
-        let diagonal = m[0][1] == Complex64::ZERO && m[1][0] == Complex64::ZERO;
-        if diagonal {
+        match PairKernel::of_matrix(m) {
             // Phase-type gate: two independent subspace passes, each
             // skipped entirely when its diagonal entry is 1.
-            for (value, d) in [(controls_mask, m[0][0]), (fixed, m[1][1])] {
-                if d != Complex64::ONE {
-                    kernels::subspace_map(&mut self.amps, &self.config, fixed, value, |a| a * d);
+            PairKernel::Diag { d0, d1 } => {
+                for (value, d) in [(controls_mask, d0), (fixed, d1)] {
+                    if d != Complex64::ONE {
+                        kernels::subspace_map(&mut self.amps, &self.config, fixed, value, |a| {
+                            kernels::scale_unless_one(a, d)
+                        });
+                    }
                 }
             }
-            return;
-        }
-        let anti_diagonal = m[0][0] == Complex64::ZERO && m[1][1] == Complex64::ZERO;
-        if anti_diagonal {
-            let (m01, m10) = (m[0][1], m[1][0]);
-            kernels::pair_map(
+            kernel => kernels::pair_map(
                 &mut self.amps,
                 &self.config,
                 fixed,
                 controls_mask,
                 t,
-                move |a, b| (m01 * b, m10 * a),
-            );
-            return;
+                kernel,
+            ),
         }
-        let real = m.iter().flatten().all(|c| c.im == 0.0);
-        if real {
-            let (r00, r01, r10, r11) = (m[0][0].re, m[0][1].re, m[1][0].re, m[1][1].re);
-            kernels::pair_map(
-                &mut self.amps,
-                &self.config,
-                fixed,
-                controls_mask,
-                t,
-                move |a, b| (a.scale(r00) + b.scale(r01), a.scale(r10) + b.scale(r11)),
-            );
-            return;
-        }
-        kernels::pair_map(
-            &mut self.amps,
-            &self.config,
-            fixed,
-            controls_mask,
-            t,
-            move |a, b| (m[0][0] * a + m[0][1] * b, m[1][0] * a + m[1][1] * b),
-        );
     }
 
     fn apply_swap(&mut self, a: usize, b: usize) {
@@ -283,7 +260,7 @@ impl StateVector {
             ma | mb,
             ma,
             ma | mb,
-            |x, y| (y, x),
+            PairKernel::Swap,
         );
     }
 
@@ -301,7 +278,7 @@ impl StateVector {
             controls_mask | t,
             controls_mask,
             t,
-            |x, y| (y, x),
+            PairKernel::Swap,
         );
     }
 
@@ -333,19 +310,13 @@ impl StateVector {
             self.apply_block_masks(block.full_mask(), block.pattern_abs(), block.angle);
             return;
         }
-        let (sin, cos) = block.angle.sin_cos();
         kernels::gated_pair_map(
             &mut self.amps,
             &self.config,
             block.full_mask(),
             block.pattern_abs(),
             |i| block.forward(i),
-            move |a, b| {
-                (
-                    Complex64::new(cos * a.re + sin * b.im, cos * a.im - sin * b.re),
-                    Complex64::new(cos * b.re + sin * a.im, cos * b.im - sin * a.re),
-                )
-            },
+            PairKernel::rotation(block.angle),
         );
     }
 
@@ -362,19 +333,13 @@ impl StateVector {
             kernels::subspace_map(&mut self.amps, &self.config, 0, 0, move |a| a * phase);
             return;
         }
-        let (sin, cos) = theta.sin_cos();
         kernels::pair_map(
             &mut self.amps,
             &self.config,
             full_mask,
             v_mask,
             full_mask,
-            move |a, b| {
-                (
-                    Complex64::new(cos * a.re + sin * b.im, cos * a.im - sin * b.re),
-                    Complex64::new(cos * b.re + sin * a.im, cos * b.im - sin * a.re),
-                )
-            },
+            PairKernel::rotation(theta),
         );
     }
 

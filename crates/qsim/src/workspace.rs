@@ -15,7 +15,7 @@
 //! * diagonals are cached per `Arc<PhasePoly>` identity on the dense
 //!   engine, so a polynomial shared across iterations is expanded
 //!   exactly once per register width (the compact engine bakes its
-//!   per-rank values into the plan instead),
+//!   distinct values into the plan instead),
 //! * the sampling prefix table is built lazily per final state and reused
 //!   across repeated `sample` calls (`2^n` slots dense, `|F|` slots
 //!   compact),
@@ -23,14 +23,16 @@
 //!   [`crate::EngineKind::Compact`] (the default) is selected: the
 //!   feasible subspace is enumerated and lowered to rank tables once, and
 //!   every subsequent iteration replays the plan with that iteration's
-//!   angles as flat-array loops. Shapes that refuse compilation
-//!   (structural support above the occupancy threshold) are remembered
-//!   and run straight on the dense engine.
+//!   angles as flat-array loops. A serial [`SimWorkspace::run`] replays
+//!   one lane; [`SimWorkspace::run_batch`] replays K candidates in the
+//!   same pass, into a second [`CompactStateVector`] so the serial state
+//!   stays untouched. Shapes that refuse compilation (structural support
+//!   above the occupancy threshold) are remembered and run straight on
+//!   the dense engine.
 //!
 //! Which engine runs is [`SimConfig::engine`]'s choice — the workspace is
 //! where that selection takes effect for every solver.
 
-use crate::batch::BatchWorkspace;
 use crate::circuit::Circuit;
 use crate::compact::CompactStateVector;
 use crate::counts::Counts;
@@ -317,9 +319,11 @@ pub struct SimWorkspace {
     run_stamp: u64,
     cumulative_for: u64,
     reallocations: u64,
-    /// The SoA buffer for batched compact replay ([`SimWorkspace::run_batch`]),
-    /// allocated on first use and reused across iterations.
-    batch: Option<BatchWorkspace>,
+    /// The K-lane state for batched compact replay
+    /// ([`SimWorkspace::run_batch`]), allocated on first use and reused
+    /// across iterations.
+    batch: Option<CompactStateVector>,
+    batch_reallocations: u64,
 }
 
 impl SimWorkspace {
@@ -349,6 +353,7 @@ impl SimWorkspace {
             cumulative_for: u64::MAX,
             reallocations: 0,
             batch: None,
+            batch_reallocations: 0,
         }
     }
 
@@ -420,9 +425,9 @@ impl SimWorkspace {
 
     /// [`SimWorkspace::run`] that hands the state to `observe` before the
     /// first gate and after every gate — the per-gate view the fig. 9(b)
-    /// support profile needs. On the compact engine this replays the plan
-    /// one step at a time; slots a gate has not reached yet hold exact
-    /// zeros, so per-gate reads equal the dense engine's.
+    /// support profile needs. On the compact engine this steps the one
+    /// plan executor a step at a time; slots a gate has not reached yet
+    /// hold exact zeros, so per-gate reads equal the dense engine's.
     pub fn run_observed(
         &mut self,
         circuit: &Circuit,
@@ -437,13 +442,14 @@ impl SimWorkspace {
             EngineKind::Dense => None,
         };
         if let Some(plan) = plan {
-            self.reset_compact(&plan, n);
+            let lanes = std::slice::from_ref(circuit);
+            self.reset_compact(&plan, lanes);
             observe(self.engine.as_ref().expect("compact engine prepared"));
-            for (index, gate) in circuit.iter().enumerate() {
+            for index in 0..plan.len() {
                 let Some(SimEngine::Compact(state)) = &mut self.engine else {
                     unreachable!("engine prepared as compact");
                 };
-                plan.apply_step(index, gate, state.amps_mut(), &self.config);
+                state.apply_step(&plan, index, lanes);
                 observe(self.engine.as_ref().expect("compact engine prepared"));
             }
         } else {
@@ -498,8 +504,8 @@ impl SimWorkspace {
     }
 
     /// Replays K same-shape circuits in one pass over the cached gate
-    /// plan — the batched compact fast path (see [`BatchWorkspace`]).
-    /// Returns the lane-addressable batch state, or `None` when batching
+    /// plan, one lane each (see [`CompactStateVector`]). Returns the
+    /// lane-addressable K-lane state, or `None` when batching
     /// does not apply and the caller should fall back to K sequential
     /// [`SimWorkspace::run`] calls: a non-compact engine selection, an
     /// empty batch, a shape that refused compilation, or circuits of
@@ -512,7 +518,7 @@ impl SimWorkspace {
     /// Bit-identity contract: lane `i` of the result reads exactly what
     /// `self.run(&circuits[i])` would produce, at any batch size and
     /// thread count.
-    pub fn run_batch(&mut self, circuits: &[Circuit]) -> Option<&BatchWorkspace> {
+    pub fn run_batch(&mut self, circuits: &[Circuit]) -> Option<&CompactStateVector> {
         if circuits.is_empty() || self.config.engine != EngineKind::Compact {
             return None;
         }
@@ -521,34 +527,40 @@ impl SimWorkspace {
         if !circuits.iter().all(|c| plan.shape().matches(c)) {
             return None;
         }
-        let batch = self.batch.get_or_insert_with(BatchWorkspace::new);
-        batch.replay(&plan, circuits, &self.config);
+        let config = self.config;
+        let batch = self
+            .batch
+            .get_or_insert_with(|| CompactStateVector::new(config));
+        if batch.replay(&plan, circuits) {
+            self.batch_reallocations += 1;
+        }
         Some(&*batch)
     }
 
-    /// How many times the batched SoA buffer had to grow (see
-    /// [`BatchWorkspace::reallocations`]); 0 before the first
-    /// [`SimWorkspace::run_batch`].
+    /// How many times the K-lane batch buffer had to grow. Stays flat
+    /// once the workspace has warmed up on a shape/batch size — the
+    /// batched analog of [`SimWorkspace::reallocations`]; 0 before the
+    /// first [`SimWorkspace::run_batch`].
     pub fn batch_reallocations(&self) -> u64 {
-        self.batch.as_ref().map_or(0, BatchWorkspace::reallocations)
+        self.batch_reallocations
     }
 
-    /// Points the compact amplitude array at `plan`'s basis and resets
-    /// it to `|0…0⟩`, reusing the allocation when the width matches.
-    fn reset_compact(&mut self, plan: &GatePlan, n_qubits: usize) {
-        match &mut self.engine {
-            Some(SimEngine::Compact(c)) if c.n_qubits() == n_qubits => {
-                c.reset_for_basis(plan.basis());
-            }
+    /// Points the one-lane compact state at `plan`'s basis and resets it
+    /// to `|0…0⟩`, reusing the allocation when the width matches.
+    fn reset_compact(&mut self, plan: &GatePlan, lanes: &[Circuit]) {
+        let n_qubits = lanes[0].n_qubits();
+        let state = match &mut self.engine {
+            Some(SimEngine::Compact(c)) if c.n_qubits() == n_qubits => c,
             slot => {
-                *slot = Some(SimEngine::Compact(CompactStateVector::new(
-                    n_qubits,
-                    plan.basis().clone(),
-                    self.config,
-                )));
                 self.reallocations += 1;
+                let fresh = SimEngine::Compact(CompactStateVector::new(self.config));
+                let SimEngine::Compact(c) = slot.insert(fresh) else {
+                    unreachable!("just inserted a compact engine");
+                };
+                c
             }
-        }
+        };
+        state.reset(plan, lanes);
     }
 
     /// Resets the dense buffer to `|0…0⟩` in place when the width matches,

@@ -744,7 +744,7 @@ fn prepare_job(
         let mut worst = String::new();
         for cell in &pending_cells {
             let key = (cell.problem.as_str().to_string(), cell.instance_seed);
-            let bytes = cell_sim_bytes(cell, &instances[&key], sim.engine);
+            let bytes = cell_sim_bytes(cell, &instances[&key], &sim);
             if bytes > job_peak {
                 job_peak = bytes;
                 worst = format!("{} seed={}", cell.problem.as_str(), cell.instance_seed);
@@ -1394,24 +1394,34 @@ fn admission_qubits(problem: &choco_model::Problem) -> usize {
     choco_core::encoded_qubits_for(problem.constraints()).unwrap_or(problem.n_vars())
 }
 
-/// Estimated resident simulator bytes for one cell, by engine: the
-/// dense engine holds the full `2^n` complex amplitudes at 16 bytes
-/// each; the compact engine holds one packed entry (~32 bytes) per
-/// feasible-space amplitude for Choco-Q cells, bounded by the enumerated
-/// feasible count `|F|`. The other solvers fill the register, so the
-/// compact engine runs them on its dense fallback and they are sized as
-/// dense. Saturating arithmetic: an estimate that overflows `u64` is
-/// "infinite" for admission purposes anyway.
-fn cell_sim_bytes(cell: &Cell, instance: &Instance, engine: EngineKind) -> u64 {
+/// Estimated resident simulator bytes for one cell under the job's
+/// resolved simulator configuration: the dense engine holds the full
+/// `2^n` complex amplitudes at 16 bytes each; the compact engine holds
+/// one packed entry (~32 bytes) per feasible-space amplitude for Choco-Q
+/// cells, bounded by the enumerated feasible count `|F|`, plus — at batch
+/// width K > 1 — a K-lane buffer of 16-byte amplitudes per feasible
+/// state. The other solvers fill the register, so the compact engine runs
+/// them on its dense fallback and they are sized as dense. Saturating
+/// arithmetic: an estimate that overflows `u64` is "infinite" for
+/// admission purposes anyway.
+fn cell_sim_bytes(cell: &Cell, instance: &Instance, sim: &SimConfig) -> u64 {
     let Ok(optimum) = &instance.optimum else {
         return 0;
     };
     let n = admission_qubits(&instance.problem).min(62) as u32;
     let full = 1u64 << n;
-    match (engine, cell.solver) {
-        (EngineKind::Compact, SolverKind::ChocoQ) => (optimum.n_feasible as u64)
-            .clamp(1, full)
-            .saturating_mul(32),
+    match (sim.engine, cell.solver) {
+        (EngineKind::Compact, SolverKind::ChocoQ) => {
+            let feasible = (optimum.n_feasible as u64).clamp(1, full);
+            let lanes = if sim.batch_size > 1 {
+                sim.batch_size as u64
+            } else {
+                0
+            };
+            feasible
+                .saturating_mul(32)
+                .saturating_add(feasible.saturating_mul(16).saturating_mul(lanes))
+        }
         _ => full.saturating_mul(16),
     }
 }
@@ -1710,25 +1720,32 @@ mod tests {
             cell_of(SolverKind::Cyclic),
             cell_of(SolverKind::Hea),
         );
+        let dense = SimConfig::serial().with_engine(EngineKind::Dense);
+        let compact = SimConfig::serial().with_engine(EngineKind::Compact);
         // Dense holds the full register regardless of solver.
-        assert_eq!(
-            cell_sim_bytes(choco, instance, EngineKind::Dense),
-            full * 16
-        );
+        assert_eq!(cell_sim_bytes(choco, instance, &dense), full * 16);
         // Compact is |F|-bounded for Choco-Q only.
+        assert_eq!(cell_sim_bytes(choco, instance, &compact), feasible * 32);
+        // A batched Choco-Q job also holds its K-lane buffer; batching
+        // never applies on the dense engine.
         assert_eq!(
-            cell_sim_bytes(choco, instance, EngineKind::Compact),
-            feasible * 32
+            cell_sim_bytes(choco, instance, &compact.with_batch(8)),
+            feasible * 32 + feasible * 16 * 8
+        );
+        assert_eq!(
+            cell_sim_bytes(choco, instance, &dense.with_batch(8)),
+            full * 16
         );
         // Register-filling solvers run on compact's dense fallback and
         // are sized as dense, not at compact's per-entry cost.
         for solver in [penalty, cyclic, hea] {
-            for engine in [EngineKind::Dense, EngineKind::Compact] {
+            for sim in [dense, compact, compact.with_batch(8)] {
                 assert_eq!(
-                    cell_sim_bytes(solver, instance, engine),
+                    cell_sim_bytes(solver, instance, &sim),
                     full * 16,
-                    "{} on {engine}",
-                    solver.solver.label()
+                    "{} on {}",
+                    solver.solver.label(),
+                    sim.engine
                 );
             }
         }

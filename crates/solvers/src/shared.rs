@@ -172,7 +172,7 @@ impl CostSpec<'_> {
 
     /// Expectation on one lane of a batched replay — bit-identical to
     /// [`CostSpec::expectation`] on that lane's serial state.
-    pub fn expectation_lane(&self, batch: &choco_qsim::BatchWorkspace, lane: usize) -> f64 {
+    pub fn expectation_lane(&self, batch: &choco_qsim::CompactStateVector, lane: usize) -> f64 {
         match self {
             CostSpec::Table(values) => batch.expectation_diag_values(lane, values),
             CostSpec::Poly(poly) => batch.expectation_diag_poly(lane, poly),
@@ -186,8 +186,8 @@ impl CostSpec<'_> {
 /// independent candidates through [`SimWorkspace::run_batch`], one plan
 /// traversal for up to `batch_size` angle sets.
 ///
-/// Bit-identity: [`choco_qsim::BatchWorkspace`] lanes reproduce the exact
-/// IEEE expression sequence of serial replays, so every value this
+/// Bit-identity: the lanes of a batched replay run the same plan executor
+/// as a serial (one-lane) replay, lane by lane, so every value this
 /// objective returns is identical whether it went through `eval`,
 /// a batched chunk, or the sequential fallback — optimizer trajectories
 /// cannot depend on `batch_size`.

@@ -7,20 +7,53 @@
 //! K ∈ {1, 2, 3, 8, 17} (non-powers of two and K > |F| included), and
 //! 1/2/4 worker threads — is **bit-identity**: every lane's amplitudes,
 //! expectations, and deterministic sample histograms equal those of a
-//! serial compact replay of that lane's circuit, byte for byte. The
+//! serial (one-lane) compact run of that lane's circuit, byte for byte,
+//! and that serial run's amplitudes equal the dense engine's. The
 //! second half locks the resource story: one plan compilation across
-//! serial runs × batches × workers sharing a cache, and zero SoA
+//! serial runs × batches × workers sharing a cache, and zero K-lane buffer
 //! allocations after warmup.
 
 use choco_q::core::{ChocoQSolver, CommuteDriver};
 use choco_q::mathkit::SplitMix64;
 use choco_q::model::Problem;
-use choco_q::qsim::{Circuit, EngineKind, PlanCache, SimConfig, SimWorkspace};
+use choco_q::qsim::{Circuit, EngineKind, PlanCache, SimConfig, SimWorkspace, StateVector};
 use choco_q::runner::ProblemRef;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::Arc;
+
+/// The system allocator, counting the allocations each thread makes so
+/// the zero-allocation contracts can be checked directly.
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: defers every operation to `System`; the counter is a
+// const-initialized thread-local without a destructor, so touching it
+// never allocates or re-enters the allocator.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocations made by the current thread so far.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 /// The family shapes of `tests/engines.rs`, kept in 4..=14 qubits.
 const FAMILY_SHAPES: [&[&str]; 5] = [
@@ -123,6 +156,13 @@ proptest! {
             let amps: Vec<_> = (0..(1u64 << problem.n_vars()))
                 .map(|bits| state.amplitude(bits))
                 .collect();
+            // A serial run is the one-lane case of the same executor, so
+            // pin it to the independent dense engine as well.
+            let dense = StateVector::run_with(circuit, SimConfig::serial());
+            prop_assert!(
+                dense.amplitudes() == amps.as_slice(),
+                "family={family}: one-lane replay diverged from dense"
+            );
             let expectation = state.expectation_diag_poly(&cost);
             let mut rng = StdRng::seed_from_u64(seed);
             let histogram = serial_ws.sample(2_000, &mut rng);
@@ -163,7 +203,7 @@ proptest! {
 #[test]
 fn batch_wider_than_the_feasible_set_is_exact() {
     // K = 17 lanes on a tiny instance whose |F| is far smaller than K:
-    // the rank-major SoA layout must not care which side is wider.
+    // the rank-major lane layout must not care which side is wider.
     let problem = family_instance(0, 0); // flp:2x1 — a handful of feasible states
     let circuits = candidate_circuits(&problem, 7, 17).expect("circuits build");
     let mut ws = SimWorkspace::new(compact_threaded(1));
@@ -230,7 +270,7 @@ fn shared_cache_compiles_once_across_workers_and_batches() {
 fn batched_iterations_are_zero_alloc_after_warmup() {
     // The batched analog of the serial engine's zero-alloc contract:
     // after the first replay of a (shape, K), iterating never grows the
-    // SoA buffer — and a *narrower* batch reuses the wide allocation.
+    // K-lane buffer — and a *narrower* batch reuses the wide allocation.
     let problem = family_instance(2, 5);
     let circuits = candidate_circuits(&problem, 13, 8).expect("circuits build");
     let mut ws = SimWorkspace::new(compact_threaded(1));
@@ -245,4 +285,32 @@ fn batched_iterations_are_zero_alloc_after_warmup() {
     assert_eq!(ws.plan_compilations(), 1, "iteration never recompiles");
     // The serial engine was never disturbed by any of it.
     assert_eq!(ws.reallocations(), 0, "serial path untouched");
+}
+
+#[test]
+fn warm_serial_and_batched_replays_allocate_nothing() {
+    // Once a shape is compiled and its buffers sized, a serial run (the
+    // one-lane replay), a K-lane batch and the reads a solver makes on
+    // either allocate nothing at all.
+    let problem = family_instance(2, 5);
+    let circuits = candidate_circuits(&problem, 17, 6).expect("circuits build");
+    let cost = problem.cost_poly();
+    let mut ws = SimWorkspace::new(compact_threaded(1));
+    for circuit in &circuits {
+        assert!(ws.run(circuit).is_compact());
+    }
+    ws.run_batch(&circuits).expect("compilable batch");
+    let before = allocations();
+    let mut total = 0.0;
+    for _ in 0..3 {
+        for circuit in &circuits {
+            total += ws.run(circuit).expectation_diag_poly(&cost);
+        }
+        let batch = ws.run_batch(&circuits).expect("compilable batch");
+        total += (0..batch.lanes())
+            .map(|lane| batch.expectation_diag_poly(lane, &cost))
+            .sum::<f64>();
+    }
+    assert_eq!(allocations() - before, 0, "warm replays allocated");
+    assert!(total.is_finite());
 }

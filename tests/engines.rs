@@ -15,11 +15,13 @@
 //! oracle-exact.
 
 use choco_q::core::{support_profile, support_profile_with, ChocoQSolver, CommuteDriver};
-use choco_q::mathkit::SplitMix64;
+use choco_q::mathkit::{expm, CMatrix, Complex64, SplitMix64};
 use choco_q::model::Problem;
+use choco_q::problems::{knapsack_random_with, mdknap, KnapsackEncoding};
 use choco_q::qsim::oracle::ScalarStateVector;
 use choco_q::qsim::{
-    Circuit, EngineKind, NoiseModel, PhasePoly, SimConfig, SimWorkspace, StateVector,
+    Circuit, EngineKind, Gate, NoiseModel, PhasePoly, ShiftBlock, SimConfig, SimWorkspace,
+    StateVector,
 };
 use choco_q::runner::ProblemRef;
 use proptest::prelude::*;
@@ -435,3 +437,106 @@ fn choco_circuit_for_support(problem: &Problem) -> Circuit {
 /// gates and the diagonal keep one basis state, then the serialized
 /// driver blocks spread the support.
 const PINNED_GCP_3X2X2_PROFILE: &[usize] = &[1, 1, 1, 1, 1, 2, 2, 2];
+
+/// `Hc` of a register-gated [`ShiftBlock`], written out from its fields
+/// alone: `|v, r⟩⟨v̄, r+δ⟩ + h.c.` for every basis state whose support
+/// bits spell the pattern `v` and whose registers all hold a value `r`
+/// with `0 ≤ r ≤ max_value` and `0 ≤ r+δ ≤ max_value`; every other row is
+/// zero.
+fn shift_block_hamiltonian(block: &ShiftBlock, n_qubits: usize) -> CMatrix {
+    let dim = 1usize << n_qubits;
+    let bit_of = |index: usize, q: usize| (index >> q) & 1;
+    let mut h = CMatrix::zeros(dim, dim);
+    'rows: for i in 0..dim {
+        for (k, &q) in block.support.iter().enumerate() {
+            if bit_of(i, q) as u64 != (block.pattern >> k) & 1 {
+                continue 'rows;
+            }
+        }
+        let mut j = block.support.iter().fold(i, |j, &q| j ^ (1 << q));
+        for shift in &block.shifts {
+            let value: i64 = shift
+                .qubits
+                .iter()
+                .enumerate()
+                .map(|(k, &q)| (bit_of(i, q) as i64) << k)
+                .sum();
+            let target = value + shift.delta;
+            let max = shift.max_value as i64;
+            if value > max || target < 0 || target > max {
+                continue 'rows;
+            }
+            for (k, &q) in shift.qubits.iter().enumerate() {
+                j = (j & !(1 << q)) | ((((target >> k) & 1) as usize) << q);
+            }
+        }
+        h[(i, j)] = Complex64::ONE;
+        h[(j, i)] = Complex64::ONE;
+    }
+    h
+}
+
+#[test]
+fn shift_blocks_match_the_exact_exponential_on_dense_and_compact() {
+    // Every register-gated driver block of small random native-knapsack
+    // and multi-dimensional-knapsack instances equals e^{-iθ·Hc} column
+    // by column (one basis-state load per column) on both engines.
+    let mut rng = SplitMix64::new(0x5B10C);
+    let mut blocks_checked = 0;
+    for seed in 0..4u64 {
+        let items = 2 + seed as usize % 2;
+        let native =
+            knapsack_random_with(items, rng.gen_range(1, 4), seed, KnapsackEncoding::Native)
+                .expect("native knapsack");
+        let weights: Vec<Vec<u64>> = (0..2)
+            .map(|_| (0..items).map(|_| rng.gen_range(1, 4)).collect())
+            .collect();
+        let values: Vec<f64> = (0..items).map(|_| rng.gen_range_f64(1.0, 5.0)).collect();
+        let capacities: Vec<u64> = (0..2).map(|_| rng.gen_range(1, 4)).collect();
+        let md = mdknap(&weights, &values, &capacities, seed).expect("mdknap");
+        for problem in [native, md] {
+            let driver = CommuteDriver::build(problem.constraints()).expect("driver");
+            let n = driver.encoded_qubits();
+            assert!(n <= 7, "keep the exact exponential small: {n} qubits");
+            for term in driver.terms() {
+                let theta = rng.gen_range_f64(-1.5, 1.5);
+                let block = driver.shift_block_of(term, theta);
+                if block.shifts.is_empty() {
+                    continue;
+                }
+                let hc = shift_block_hamiltonian(&block, n);
+                let exact = expm(&hc.scale(Complex64::new(0.0, -theta)));
+                // A basis load compiles as X pairs, so its structural
+                // support fills the register; lift the occupancy cap so
+                // every column stays on the compact engine.
+                let mut compact_ws = SimWorkspace::new(SimConfig {
+                    density_threshold: 1.0,
+                    ..SimConfig::serial()
+                });
+                for column in 0..1u64 << n {
+                    let mut c = Circuit::new(n);
+                    c.load_bits(column);
+                    c.push(Gate::ShiftBlock(block.clone()));
+                    let dense = StateVector::run_with(&c, SimConfig::serial());
+                    let compact = compact_ws.run(&c);
+                    assert!(compact.is_compact());
+                    for bits in 0..1u64 << n {
+                        let want = exact[(bits as usize, column as usize)];
+                        for (engine, got) in [
+                            ("dense", dense.amplitude(bits)),
+                            ("compact", compact.amplitude(bits)),
+                        ] {
+                            assert!(
+                                got.approx_eq(want, 1e-10),
+                                "{engine} seed={seed} column={column:b} bits={bits:b}: \
+                                 {got} vs {want}"
+                            );
+                        }
+                    }
+                }
+                blocks_checked += 1;
+            }
+        }
+    }
+    assert!(blocks_checked >= 8, "only {blocks_checked} gated blocks");
+}
