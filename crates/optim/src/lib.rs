@@ -39,9 +39,9 @@ use std::fmt;
 /// (reflection → expansion/contraction chains, trust-region candidate →
 /// extended step). The default `eval_batch` evaluates sequentially, so a
 /// plain closure behaves exactly as before; an objective backed by a
-/// batched simulator (the variational loop's
-/// `SimWorkspace::run_batch` path) overrides it to evaluate the group in
-/// one pass.
+/// batched simulator (the variational loop's `SimWorkspace::run_batch`
+/// and `SimWorkspace::run_forked` paths) overrides it to evaluate the
+/// group in one pass.
 ///
 /// Contract: `eval_batch` must return one value per point, and each value
 /// must equal what `eval` would have returned for that point alone — the

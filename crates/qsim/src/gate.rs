@@ -366,6 +366,47 @@ impl Gate {
         )
     }
 
+    /// Bitwise gate equality: same kind and qubits, and every real
+    /// parameter equal by `to_bits` (so `0.0` and `-0.0` differ, and a NaN
+    /// angle never matches). Diagonal evolutions compare their polynomial
+    /// by `Arc` identity, never by content. Two bit-equal gates apply the
+    /// same floating-point operations to every amplitude, which is what
+    /// lets a forked batch replay a shared prefix once (see
+    /// [`crate::SimWorkspace::run_forked`]).
+    pub(crate) fn bit_eq(&self, other: &Gate) -> bool {
+        let same_kind = match (self, other) {
+            (Gate::DiagPhase(a, _), Gate::DiagPhase(b, _)) => Arc::ptr_eq(a, b),
+            _ => self == other,
+        };
+        same_kind && self.param_bits() == other.param_bits()
+    }
+
+    /// The bits of the gate's real parameters (angles, or the entries of a
+    /// controlled unitary), zero-padded.
+    fn param_bits(&self) -> [u64; 8] {
+        let mut bits = [0u64; 8];
+        match self {
+            Gate::Rx(_, t)
+            | Gate::Ry(_, t)
+            | Gate::Rz(_, t)
+            | Gate::Phase(_, t)
+            | Gate::Cp(_, _, t)
+            | Gate::XyMix(_, _, t)
+            | Gate::DiagPhase(_, t)
+            | Gate::McPhase { angle: t, .. }
+            | Gate::UBlock(UBlock { angle: t, .. })
+            | Gate::ShiftBlock(ShiftBlock { angle: t, .. }) => bits[0] = t.to_bits(),
+            Gate::ControlledU { matrix, .. } => {
+                for (slot, c) in bits.chunks_mut(2).zip(matrix.iter().flatten()) {
+                    slot[0] = c.re.to_bits();
+                    slot[1] = c.im.to_bits();
+                }
+            }
+            _ => {}
+        }
+        bits
+    }
+
     /// `true` for the structured (non-gate-level) operations.
     pub fn is_structured(&self) -> bool {
         matches!(

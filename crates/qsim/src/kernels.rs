@@ -5,11 +5,14 @@
 //! basis states — the indices whose bits under a `fixed_mask` equal a
 //! `fixed_value`. The kernels here enumerate exactly those `2^(n-k)`
 //! indices (instead of scanning all `2^n` and filtering, as the retained
-//! [`crate::oracle`] reference does) using a carry-propagation increment
-//! that steps between matching indices in O(1):
+//! [`crate::oracle`] reference does) as **contiguous runs**: every bit
+//! below the lowest fixed bit is free, so the subspace is a sequence of
+//! aligned runs of `2^low` consecutive indices. Each run is a plain slice
+//! loop; the step from one run to the next is a carry-propagation
+//! increment over the free bits above `low`:
 //!
 //! ```text
-//! next = ((current | fixed_ext) + 1) & !fixed_ext
+//! next = ((current | fixed_ext | low_mask) + 1) & !fixed_ext
 //! ```
 //!
 //! where `fixed_ext` extends the fixed mask with all bits above the state
@@ -43,20 +46,27 @@ pub(crate) fn expand_index(m: u64, fixed_mask: u64) -> u64 {
     out
 }
 
-/// Serial enumeration of `count` subspace indices starting from the free
-/// pattern `start_free`, calling `f(index)` with the fixed value OR-ed in.
+/// Serial enumeration of the subspace indices whose ranks (positions in
+/// increasing index order) lie in `ranks`, as contiguous runs: calls
+/// `f(first_index, len)` once per run, with the fixed value OR-ed in.
+/// Runs are aligned blocks of `2^low` indices, `low` being the lowest
+/// fixed bit, cut at the ends of `ranks`.
 #[inline]
-fn for_each_index<F: FnMut(usize)>(
-    start_free: u64,
-    count: usize,
+fn for_each_run<F: FnMut(usize, usize)>(
+    ranks: std::ops::Range<usize>,
     fixed_ext: u64,
     fixed_value: u64,
     mut f: F,
 ) {
-    let mut free = start_free;
-    for _ in 0..count {
-        f((free | fixed_value) as usize);
-        free = (free | fixed_ext).wrapping_add(1) & !fixed_ext;
+    let run = 1usize << fixed_ext.trailing_zeros();
+    let low_mask = run as u64 - 1;
+    let mut rank = ranks.start;
+    let mut free = expand_index(rank as u64, fixed_ext);
+    while rank < ranks.end {
+        let len = (run - (rank & (run - 1))).min(ranks.end - rank);
+        f((free | fixed_value) as usize, len);
+        rank += len;
+        free = (free | fixed_ext | low_mask).wrapping_add(1) & !fixed_ext;
     }
 }
 
@@ -148,16 +158,49 @@ pub(crate) fn subspace_map<Op>(
     let ptr = AmpPtr(amps.as_mut_ptr());
     dispatch(config, count, |range| {
         let base = ptr.get();
-        let start_free = expand_index(range.start as u64, fixed_ext);
-        for_each_index(start_free, range.len(), fixed_ext, fixed_value, |i| {
-            // SAFETY: `i < dim` by construction and each worker's index set
-            // is disjoint (see `AmpPtr`).
-            unsafe {
-                let a = base.add(i);
+        for_each_run(range, fixed_ext, fixed_value, |start, len| {
+            // SAFETY: the run lies below `dim` by construction and each
+            // worker's index set is disjoint (see `AmpPtr`).
+            let run = unsafe { std::slice::from_raw_parts_mut(base.add(start), len) };
+            for a in run {
                 *a = op(*a);
             }
         });
     });
+}
+
+/// Hands `$run` the pair operation of `$kernel` as a closure whose
+/// variant is a compile-time constant, so the kernels branch on the gate
+/// kind once per gate instead of once per pair.
+macro_rules! with_pair_op {
+    ($kernel:expr, |$op:ident| $run:expr) => {
+        match $kernel {
+            PairKernel::Swap => {
+                let $op = move |a, b| PairKernel::Swap.apply(a, b);
+                $run
+            }
+            PairKernel::Rot { sin, cos } => {
+                let $op = move |a, b| PairKernel::Rot { sin, cos }.apply(a, b);
+                $run
+            }
+            PairKernel::Diag { d0, d1 } => {
+                let $op = move |a, b| PairKernel::Diag { d0, d1 }.apply(a, b);
+                $run
+            }
+            PairKernel::AntiDiag { m01, m10 } => {
+                let $op = move |a, b| PairKernel::AntiDiag { m01, m10 }.apply(a, b);
+                $run
+            }
+            PairKernel::Real { r00, r01, r10, r11 } => {
+                let $op = move |a, b| PairKernel::Real { r00, r01, r10, r11 }.apply(a, b);
+                $run
+            }
+            PairKernel::Full { m } => {
+                let $op = move |a, b| PairKernel::Full { m }.apply(a, b);
+                $run
+            }
+        }
+    };
 }
 
 /// Applies `kernel` to every amplitude pair `(i, j)` where
@@ -166,7 +209,9 @@ pub(crate) fn subspace_map<Op>(
 /// Disjointness (threading safety): `partner_xor` must be a non-empty
 /// subset of `fixed_mask`, so `j`'s fixed bits differ from `fixed_value` —
 /// no `j` ever collides with another pair's `i`, and distinct free
-/// patterns keep distinct `(i, j)` pairs.
+/// patterns keep distinct `(i, j)` pairs. Because the partner bits are
+/// fixed bits, they all lie at or above the lowest fixed bit, so a run of
+/// sources maps onto a run of partners and both sides are plain slices.
 pub(crate) fn pair_map(
     amps: &mut [Complex64],
     config: &SimConfig,
@@ -181,14 +226,46 @@ pub(crate) fn pair_map(
         0,
         "partner bits must be fixed bits"
     );
-    gated_pair_map(
+    with_pair_op!(kernel, |op| pair_loop(
         amps,
         config,
         fixed_mask,
         fixed_value,
-        move |i| Some(i ^ partner_xor),
-        kernel,
-    );
+        partner_xor as usize,
+        op
+    ))
+}
+
+/// The loop behind [`pair_map`], monomorphized per pair operation.
+fn pair_loop<Op>(
+    amps: &mut [Complex64],
+    config: &SimConfig,
+    fixed_mask: u64,
+    fixed_value: u64,
+    partner_xor: usize,
+    op: Op,
+) where
+    Op: Fn(Complex64, Complex64) -> (Complex64, Complex64) + Sync,
+{
+    let (count, fixed_ext) = check_subspace(amps.len(), fixed_mask, fixed_value);
+    let ptr = AmpPtr(amps.as_mut_ptr());
+    dispatch(config, count, |range| {
+        let base = ptr.get();
+        for_each_run(range, fixed_ext, fixed_value, |start, len| {
+            // SAFETY: both runs lie below `dim`; the partner run has fixed
+            // bits other than `fixed_value`, so it is disjoint from every
+            // source run, and sources are partitioned across workers.
+            let (sources, partners) = unsafe {
+                (
+                    std::slice::from_raw_parts_mut(base.add(start), len),
+                    std::slice::from_raw_parts_mut(base.add(start ^ partner_xor), len),
+                )
+            };
+            for (pa, pb) in sources.iter_mut().zip(partners) {
+                (*pa, *pb) = op(*pa, *pb);
+            }
+        });
+    });
 }
 
 /// Gated variant of [`pair_map`] for the generalized commute couplings:
@@ -215,28 +292,14 @@ pub(crate) fn gated_pair_map<P>(
     P: Fn(u64) -> Option<u64> + Sync,
 {
     assert_ne!(fixed_mask, 0, "gated pair kernel needs support bits");
-    // Branch on the kernel once per gate, not once per pair: every arm
-    // hands the loop a closure whose variant is a compile-time constant.
-    macro_rules! run {
-        ($kernel:expr) => {
-            gated_pair_loop(
-                amps,
-                config,
-                fixed_mask,
-                fixed_value,
-                partner,
-                move |a, b| $kernel.apply(a, b),
-            )
-        };
-    }
-    match kernel {
-        PairKernel::Swap => run!(PairKernel::Swap),
-        PairKernel::Rot { sin, cos } => run!(PairKernel::Rot { sin, cos }),
-        PairKernel::Diag { d0, d1 } => run!(PairKernel::Diag { d0, d1 }),
-        PairKernel::AntiDiag { m01, m10 } => run!(PairKernel::AntiDiag { m01, m10 }),
-        PairKernel::Real { r00, r01, r10, r11 } => run!(PairKernel::Real { r00, r01, r10, r11 }),
-        PairKernel::Full { m } => run!(PairKernel::Full { m }),
-    }
+    with_pair_op!(kernel, |op| gated_pair_loop(
+        amps,
+        config,
+        fixed_mask,
+        fixed_value,
+        &partner,
+        op
+    ))
 }
 
 /// The loop behind [`gated_pair_map`], monomorphized per pair operation.
@@ -245,7 +308,7 @@ fn gated_pair_loop<P, Op>(
     config: &SimConfig,
     fixed_mask: u64,
     fixed_value: u64,
-    partner: P,
+    partner: &P,
     op: Op,
 ) where
     P: Fn(u64) -> Option<u64> + Sync,
@@ -256,28 +319,29 @@ fn gated_pair_loop<P, Op>(
     let ptr = AmpPtr(amps.as_mut_ptr());
     dispatch(config, count, |range| {
         let base = ptr.get();
-        let start_free = expand_index(range.start as u64, fixed_ext);
-        for_each_index(start_free, range.len(), fixed_ext, fixed_value, |i| {
-            let Some(j) = partner(i as u64) else {
-                return;
-            };
-            debug_assert!(j < dim, "partner index outside the register");
-            debug_assert_ne!(
-                j & fixed_mask,
-                fixed_value,
-                "partner must leave the source subspace"
-            );
-            let j = j as usize;
-            // SAFETY: `i`, `j` < dim; sources are partitioned across
-            // workers, and the caller guarantees partners leave the source
-            // subspace and are injective, so every touched index belongs
-            // to at most one pair.
-            unsafe {
-                let pa = base.add(i);
-                let pb = base.add(j);
-                let (a, b) = op(*pa, *pb);
-                *pa = a;
-                *pb = b;
+        for_each_run(range, fixed_ext, fixed_value, |start, len| {
+            for i in start..start + len {
+                let Some(j) = partner(i as u64) else {
+                    continue;
+                };
+                debug_assert!(j < dim, "partner index outside the register");
+                debug_assert_ne!(
+                    j & fixed_mask,
+                    fixed_value,
+                    "partner must leave the source subspace"
+                );
+                let j = j as usize;
+                // SAFETY: `i`, `j` < dim; sources are partitioned across
+                // workers, and the caller guarantees partners leave the
+                // source subspace and are injective, so every touched
+                // index belongs to at most one pair.
+                unsafe {
+                    let pa = base.add(i);
+                    let pb = base.add(j);
+                    let (a, b) = op(*pa, *pb);
+                    *pa = a;
+                    *pb = b;
+                }
             }
         });
     });
@@ -387,9 +451,14 @@ pub(crate) fn scale_unless_one(a: Complex64, d: Complex64) -> Complex64 {
 
 /// Applies `op(amp, value)` element-wise over the full array, in parallel
 /// chunks (safe `split_at_mut` slicing — no raw pointers needed).
-pub(crate) fn zip_map_values<Op>(amps: &mut [Complex64], config: &SimConfig, values: &[f64], op: Op)
-where
-    Op: Fn(&mut Complex64, f64) + Sync,
+pub(crate) fn zip_map_values<T, Op>(
+    amps: &mut [Complex64],
+    config: &SimConfig,
+    values: &[T],
+    op: Op,
+) where
+    T: Copy + Sync,
+    Op: Fn(&mut Complex64, T) + Sync,
 {
     debug_assert_eq!(amps.len(), values.len());
     let threads = config.effective_threads(amps.len());
@@ -412,6 +481,25 @@ where
     });
 }
 
+/// Bit-deduplicates a diagonal's values: the distinct values (by
+/// `to_bits`) in first-seen order, and each value's index into them.
+/// Equal bits give an equal `-θ·f` product and so equal `cis` bits, which
+/// makes a factor table over the distinct values exact.
+pub(crate) fn dedup_values(values: &[f64]) -> (Vec<f64>, Vec<u32>) {
+    let mut distinct = Vec::new();
+    let mut slot_of: std::collections::HashMap<u64, u32> = std::collections::HashMap::new();
+    let index = values
+        .iter()
+        .map(|&f| {
+            *slot_of.entry(f.to_bits()).or_insert_with(|| {
+                distinct.push(f);
+                (distinct.len() - 1) as u32
+            })
+        })
+        .collect();
+    (distinct, index)
+}
+
 /// Accumulates the per-basis diagonal of a phase polynomial into `values`
 /// by strided term-wise addition: `O(2^n · (1 + terms/2))` simple adds
 /// instead of `O(2^n · terms)` branchy per-index evaluation.
@@ -422,7 +510,11 @@ pub(crate) fn accumulate_poly_diag(values: &mut [f64], poly: &crate::phasepoly::
     values.fill(poly.constant());
     let mut add_on_subspace = |fixed_mask: u64, w: f64| {
         let (count, fixed_ext) = check_subspace(dim, fixed_mask, fixed_mask);
-        for_each_index(0, count, fixed_ext, fixed_mask, |i| values[i] += w);
+        for_each_run(0..count, fixed_ext, fixed_mask, |start, len| {
+            for v in &mut values[start..start + len] {
+                *v += w;
+            }
+        });
     };
     for (i, &w) in poly.linear().iter().enumerate() {
         let bit = 1u64 << i;
@@ -468,12 +560,24 @@ mod tests {
         let fixed_mask = 0b10010u64;
         let fixed_value = 0b10000u64;
         let (count, fixed_ext) = check_subspace(dim, fixed_mask, fixed_value);
-        let mut seen = Vec::new();
-        for_each_index(0, count, fixed_ext, fixed_value, |i| seen.push(i));
         let expected: Vec<usize> = (0..dim)
             .filter(|&i| i as u64 & fixed_mask == fixed_value)
             .collect();
-        assert_eq!(seen, expected);
+        // Every split of the rank range (as thread chunks cut it) yields
+        // the same indices in the same order, in runs of 2^low.
+        for (lo, hi) in [(0, count), (0, 1), (1, count), (3, 7), (5, count)] {
+            let mut seen = Vec::new();
+            for_each_run(lo..hi, fixed_ext, fixed_value, |start, len| {
+                assert!(len <= 2, "lowest fixed bit is bit 1");
+                seen.extend(start..start + len);
+            });
+            assert_eq!(seen, expected[lo..hi], "ranks {lo}..{hi}");
+        }
+        // No fixed bits: one run over the whole register.
+        let (count, fixed_ext) = check_subspace(dim, 0, 0);
+        let mut runs = Vec::new();
+        for_each_run(0..count, fixed_ext, 0, |start, len| runs.push((start, len)));
+        assert_eq!(runs, [(0, dim)]);
     }
 
     #[test]

@@ -76,4 +76,4 @@ pub use synth::{
     circuit_unitary, two_level_decompose, SynthCost, TwoLevelDecomposition, TwoLevelOp,
 };
 pub use transpile::{transpile, zyz_decompose, TranspileError, TranspileOptions, TwoQubitBasis};
-pub use workspace::{PlanCache, PlanCacheStats, SimWorkspace};
+pub use workspace::{ForkedBatch, PlanCache, PlanCacheStats, SimWorkspace};

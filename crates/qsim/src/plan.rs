@@ -37,7 +37,6 @@ use crate::kernels::{self, dispatch, AmpPtr, PairKernel};
 use crate::phasepoly::PhasePoly;
 use crate::simconfig::SimConfig;
 use choco_mathkit::Complex64;
-use std::collections::HashMap;
 use std::sync::{Arc, Weak};
 
 /// Why a circuit shape could not be compiled into a plan.
@@ -589,17 +588,7 @@ impl GatePlan {
                     pairs: pairs.into_iter().map(|[i, j]| [rank(i), rank(j)]).collect(),
                 },
                 BitsStep::DiagPoly(bits, values) => {
-                    let mut distinct: Vec<f64> = Vec::new();
-                    let mut slot_of: HashMap<u64, u32> = HashMap::new();
-                    let value_idx: Vec<u32> = values
-                        .iter()
-                        .map(|&f| {
-                            *slot_of.entry(f.to_bits()).or_insert_with(|| {
-                                distinct.push(f);
-                                (distinct.len() - 1) as u32
-                            })
-                        })
-                        .collect();
+                    let (distinct, value_idx) = kernels::dedup_values(&values);
                     PlanStep::DiagPoly {
                         ranks: ranks(bits),
                         distinct,

@@ -105,7 +105,9 @@ pub struct SimConfig {
     /// default). Consumers
     /// with independent evaluations ready — a simplex construction, a
     /// geometry rebuild — hand up to this many circuits of one shape to
-    /// [`crate::SimWorkspace::run_batch`] at once. Purely a performance
+    /// [`crate::SimWorkspace::run_batch`] at once. Shapes that run dense
+    /// ignore it: their groups fork off a shared trunk whole
+    /// ([`crate::SimWorkspace::run_forked`]). Purely a performance
     /// knob: batched results are bit-identical to sequential replays at
     /// every setting.
     pub batch_size: usize,

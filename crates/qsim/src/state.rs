@@ -26,6 +26,11 @@ use crate::simconfig::SimConfig;
 use choco_mathkit::Complex64;
 use rand::Rng;
 
+/// The [`StateVector::apply_diag_indexed`] index of a basis state whose
+/// diagonal value is zero: its amplitude is left untouched, exactly as
+/// [`StateVector::apply_diag_values`] skips `f == 0.0`.
+pub(crate) const DIAG_SKIP: u32 = u32::MAX;
+
 /// A pure quantum state over `n` qubits (little-endian basis indexing:
 /// qubit `q` is bit `q` of the basis index).
 ///
@@ -199,11 +204,20 @@ impl StateVector {
                 self.apply_block_masks(full, 1u64 << a, 2.0 * theta);
             }
             Gate::DiagPhase(poly, theta) => self.apply_diag_poly(poly, *theta),
-            g1q => {
-                let m = g1q
-                    .matrix_1q()
-                    .unwrap_or_else(|| panic!("unhandled gate {g1q}"));
-                self.apply_1q(m, g1q.qubits()[0]);
+            Gate::H(q)
+            | Gate::X(q)
+            | Gate::Y(q)
+            | Gate::Z(q)
+            | Gate::S(q)
+            | Gate::Sdg(q)
+            | Gate::T(q)
+            | Gate::Tdg(q)
+            | Gate::Rx(q, _)
+            | Gate::Ry(q, _)
+            | Gate::Rz(q, _)
+            | Gate::Phase(q, _) => {
+                let m = gate.matrix_1q().expect("one-qubit gates have a matrix");
+                self.apply_1q(m, *q);
             }
         }
     }
@@ -370,6 +384,29 @@ impl StateVector {
                 *a *= Complex64::cis(-theta * f);
             }
         });
+    }
+
+    /// Applies a diagonal evolution given per-basis indices into a table
+    /// of precomputed factors: amplitude `x` is multiplied by
+    /// `factors[index[x]]`, and left alone where `index[x]` is
+    /// [`DIAG_SKIP`]. With `factors[k] = cis(-θ·distinct[k])` and `index`
+    /// the bit-deduplicated positions of a diagonal's non-zero values,
+    /// this is bit-identical to [`StateVector::apply_diag_values`] while
+    /// evaluating `cis` once per distinct value instead of once per
+    /// amplitude.
+    pub(crate) fn apply_diag_indexed(&mut self, factors: &[Complex64], index: &[u32]) {
+        assert_eq!(index.len(), self.amps.len(), "diagonal length mismatch");
+        kernels::zip_map_values(&mut self.amps, &self.config, index, move |a, k| {
+            if k != DIAG_SKIP {
+                *a *= factors[k as usize];
+            }
+        });
+    }
+
+    /// Overwrites the amplitudes with `other`'s (same width), reusing the
+    /// buffer.
+    pub(crate) fn copy_from(&mut self, other: &StateVector) {
+        self.amps.copy_from_slice(&other.amps);
     }
 
     /// Measurement probabilities for every basis state.

@@ -28,7 +28,11 @@
 //!   same pass, into a second [`CompactStateVector`] so the serial state
 //!   stays untouched. Shapes that refuse compilation (structural support
 //!   above the occupancy threshold) are remembered and run straight on
-//!   the dense engine.
+//!   the dense engine,
+//! * K candidates of a shape that runs dense are replayed as a **forked
+//!   batch** ([`SimWorkspace::run_forked`]): the gates the lanes share are
+//!   applied once to a trunk state, and each lane forks off it where its
+//!   own gates begin — one extra `2^n` buffer, whatever K is.
 //!
 //! Which engine runs is [`SimConfig::engine`]'s choice — the workspace is
 //! where that selection takes effect for every solver.
@@ -42,7 +46,8 @@ use crate::kernels;
 use crate::phasepoly::PhasePoly;
 use crate::plan::{CircuitShape, GatePlan, PlanError};
 use crate::simconfig::{EngineKind, SimConfig};
-use crate::state::StateVector;
+use crate::state::{StateVector, DIAG_SKIP};
+use choco_mathkit::Complex64;
 use rand::Rng;
 use std::sync::{Arc, Mutex, Weak};
 
@@ -51,6 +56,52 @@ use std::sync::{Arc, Mutex, Weak};
 struct CachedDiag {
     poly: Weak<PhasePoly>,
     values: Vec<f64>,
+    /// The bit-distinct values and each basis state's index into them
+    /// ([`DIAG_SKIP`] where the value is zero), so an application evaluates
+    /// `cis` once per distinct value. Both are empty when the diagonal has
+    /// more than `2^n / 4` distinct values: then `values` is applied
+    /// directly.
+    distinct: Vec<f64>,
+    index: Vec<u32>,
+    /// Scratch for the per-application factors `cis(-θ·distinct[k])`.
+    factors: Vec<Complex64>,
+}
+
+impl CachedDiag {
+    fn new(poly: &Arc<PhasePoly>, dim: usize) -> Self {
+        let mut values = vec![0.0f64; dim];
+        kernels::accumulate_poly_diag(&mut values, poly);
+        let (mut distinct, mut index) = kernels::dedup_values(&values);
+        if distinct.len() <= dim / 4 {
+            for k in &mut index {
+                if distinct[*k as usize] == 0.0 {
+                    *k = DIAG_SKIP;
+                }
+            }
+        } else {
+            (distinct, index) = (Vec::new(), Vec::new());
+        }
+        CachedDiag {
+            poly: Arc::downgrade(poly),
+            values,
+            factors: Vec::with_capacity(distinct.len()),
+            distinct,
+            index,
+        }
+    }
+
+    /// Applies `e^{-iθ·f}` to `state` — bit-identical to
+    /// [`StateVector::apply_diag_values`] on `values`.
+    fn apply(&mut self, state: &mut StateVector, theta: f64) {
+        if self.index.is_empty() {
+            state.apply_diag_values(&self.values, theta);
+            return;
+        }
+        self.factors.clear();
+        self.factors
+            .extend(self.distinct.iter().map(|&f| Complex64::cis(-theta * f)));
+        state.apply_diag_indexed(&self.factors, &self.index);
+    }
 }
 
 /// Most plans a workspace keeps: enough for a solve's Δ policies and
@@ -324,6 +375,13 @@ pub struct SimWorkspace {
     /// across iterations.
     batch: Option<CompactStateVector>,
     batch_reallocations: u64,
+    /// The shared-prefix state of a forked dense batch
+    /// ([`SimWorkspace::run_forked`]), allocated on first use.
+    trunk: Option<StateVector>,
+    /// Per gate position, the lane whose gate the trunk applies there.
+    trunk_src: Vec<usize>,
+    /// The forked batch's lanes as `(divergence position, lane)`, sorted.
+    fork_order: Vec<(usize, usize)>,
 }
 
 impl SimWorkspace {
@@ -354,6 +412,9 @@ impl SimWorkspace {
             reallocations: 0,
             batch: None,
             batch_reallocations: 0,
+            trunk: None,
+            trunk_src: Vec::new(),
+            fork_order: Vec::new(),
         }
     }
 
@@ -453,18 +514,13 @@ impl SimWorkspace {
                 observe(self.engine.as_ref().expect("compact engine prepared"));
             }
         } else {
-            self.reset_dense(n);
+            self.dense_slot(n).reset_zero();
             observe(self.engine.as_ref().expect("dense engine prepared"));
             for gate in circuit.iter() {
                 let Some(SimEngine::Dense(state)) = &mut self.engine else {
                     unreachable!("engine prepared as dense");
                 };
-                match gate {
-                    Gate::DiagPhase(poly, theta) => {
-                        apply_cached_diag(state, &mut self.diag_cache, poly, *theta)
-                    }
-                    g => state.apply_gate(g),
-                }
+                apply_dense_gate(state, &mut self.diag_cache, gate);
                 observe(self.engine.as_ref().expect("dense engine prepared"));
             }
         }
@@ -506,10 +562,10 @@ impl SimWorkspace {
     /// Replays K same-shape circuits in one pass over the cached gate
     /// plan, one lane each (see [`CompactStateVector`]). Returns the
     /// lane-addressable K-lane state, or `None` when batching
-    /// does not apply and the caller should fall back to K sequential
-    /// [`SimWorkspace::run`] calls: a non-compact engine selection, an
-    /// empty batch, a shape that refused compilation, or circuits of
-    /// differing shapes.
+    /// does not apply: a non-compact engine selection or a shape that
+    /// refused compilation (replay those with
+    /// [`SimWorkspace::run_forked`]), an empty batch, or circuits of
+    /// differing shapes (replay those with K [`SimWorkspace::run`] calls).
     ///
     /// The serial engine state ([`SimWorkspace::state`], sampling caches)
     /// is untouched — a batched evaluation never disturbs what a
@@ -537,10 +593,84 @@ impl SimWorkspace {
         Some(&*batch)
     }
 
-    /// How many times the K-lane batch buffer had to grow. Stays flat
-    /// once the workspace has warmed up on a shape/batch size — the
-    /// batched analog of [`SimWorkspace::reallocations`]; 0 before the
-    /// first [`SimWorkspace::run_batch`].
+    /// Replays K circuits whose shape runs dense — the
+    /// [`EngineKind::Dense`] selection, or a shape the compact engine
+    /// refused — sharing every gate prefix the lanes have in common.
+    ///
+    /// The trunk circuit takes, at each gate position, the gate most
+    /// lanes agree on; gates count as equal only bitwise (angles by
+    /// `to_bits`, diagonal evolutions by `Arc` identity and θ bits). Each
+    /// lane diverges from the trunk at its first differing gate. The
+    /// returned [`ForkedBatch`] visits the lanes in order of divergence:
+    /// one trunk state is advanced once, and at each lane's divergence
+    /// point it is copied into the serial engine state, which then runs
+    /// the lane's remaining gates. A lane sharing no prefix with the trunk
+    /// replays in full from `|0…0⟩`. Memory is one extra `2^n` buffer
+    /// (the trunk), whatever K is.
+    ///
+    /// Returns `None` when the group should not fork: an empty group,
+    /// circuits of differing widths, or a shape the compact engine
+    /// compiles (replay those with [`SimWorkspace::run_batch`]).
+    ///
+    /// Bit-identity contract: each lane reads exactly what
+    /// `self.run(&circuits[lane])` would produce. The trunk applies the
+    /// lane's own gates, bit for bit, up to the divergence point, so every
+    /// amplitude sees the same floating-point operations in the same
+    /// order. Each visited lane's state is left as the serial engine
+    /// state, exactly as a [`SimWorkspace::run`] of that lane leaves it.
+    pub fn run_forked<'a>(&'a mut self, circuits: &'a [Circuit]) -> Option<ForkedBatch<'a>> {
+        let n = circuits.first()?.n_qubits();
+        if circuits.iter().any(|c| c.n_qubits() != n) {
+            return None;
+        }
+        if self.config.engine == EngineKind::Compact
+            && self
+                .plans
+                .lookup_or_compile(&circuits[0], plan_support_cap(&self.config, n))
+                .is_some()
+        {
+            return None;
+        }
+        let gate = |lane: usize, pos: usize| &circuits[lane].gates()[pos];
+        // Majority vote per position (Boyer–Moore): when more than half
+        // the lanes agree on a gate — every position of an axis-perturbed
+        // simplex — it is the one chosen. Any choice stays exact.
+        let len = circuits.iter().map(Circuit::len).max().unwrap_or(0);
+        self.trunk_src.clear();
+        for pos in 0..len {
+            let (mut candidate, mut votes) = (0, 0usize);
+            for lane in (0..circuits.len()).filter(|&lane| pos < circuits[lane].len()) {
+                if votes == 0 {
+                    (candidate, votes) = (lane, 1);
+                } else if gate(lane, pos).bit_eq(gate(candidate, pos)) {
+                    votes += 1;
+                } else {
+                    votes -= 1;
+                }
+            }
+            self.trunk_src.push(candidate);
+        }
+        self.fork_order.clear();
+        for (lane, circuit) in circuits.iter().enumerate() {
+            let diverge = (0..circuit.len())
+                .find(|&pos| !gate(lane, pos).bit_eq(gate(self.trunk_src[pos], pos)))
+                .unwrap_or(circuit.len());
+            self.fork_order.push((diverge, lane));
+        }
+        self.fork_order.sort_unstable();
+        Some(ForkedBatch {
+            ws: self,
+            circuits,
+            next: 0,
+            trunk_at: None,
+        })
+    }
+
+    /// How many times a batch buffer had to be (re)allocated: the K-lane
+    /// compact buffer grown, or the forked batch's trunk state sized.
+    /// Stays flat once the workspace has warmed up on a shape/batch size
+    /// — the batched analog of [`SimWorkspace::reallocations`]; 0 before
+    /// the first batch.
     pub fn batch_reallocations(&self) -> u64 {
         self.batch_reallocations
     }
@@ -563,22 +693,90 @@ impl SimWorkspace {
         state.reset(plan, lanes);
     }
 
-    /// Resets the dense buffer to `|0…0⟩` in place when the width matches,
-    /// and allocates (counting a reallocation) otherwise.
-    fn reset_dense(&mut self, n_qubits: usize) {
-        match &mut self.engine {
-            Some(SimEngine::Dense(s)) if s.n_qubits() == n_qubits => s.reset_zero(),
-            slot => {
-                *slot = Some(SimEngine::Dense(StateVector::new_with(
-                    n_qubits,
-                    self.config,
-                )));
-                self.reallocations += 1;
-                // Cached diagonals are per-width; drop other widths'.
-                let dim = 1usize << n_qubits;
-                self.diag_cache.retain(|e| e.values.len() == dim);
-            }
+    /// The dense engine state, reused when the width matches and
+    /// allocated (counting a reallocation) otherwise. Its contents are
+    /// whatever the last run left: callers reset or overwrite it.
+    fn dense_slot(&mut self, n_qubits: usize) -> &mut StateVector {
+        if !matches!(&self.engine, Some(SimEngine::Dense(s)) if s.n_qubits() == n_qubits) {
+            self.engine = Some(SimEngine::Dense(StateVector::new_with(
+                n_qubits,
+                self.config,
+            )));
+            self.reallocations += 1;
+            // Cached diagonals are per-width; drop other widths'.
+            let dim = 1usize << n_qubits;
+            self.diag_cache.retain(|e| e.values.len() == dim);
         }
+        let Some(SimEngine::Dense(state)) = &mut self.engine else {
+            unreachable!("engine prepared as dense");
+        };
+        state
+    }
+}
+
+/// A forked dense batch in progress (see [`SimWorkspace::run_forked`]):
+/// [`ForkedBatch::next_lane`] computes one lane per call, so a caller can
+/// stop between lanes (a deadline, a cancellation) and never blocks for
+/// more than one lane's work.
+pub struct ForkedBatch<'a> {
+    ws: &'a mut SimWorkspace,
+    circuits: &'a [Circuit],
+    /// Position in the workspace's sorted lane order.
+    next: usize,
+    /// Gates the trunk has applied in this batch (`None` until the first
+    /// lane that forks off it).
+    trunk_at: Option<usize>,
+}
+
+impl ForkedBatch<'_> {
+    /// Runs the next lane in divergence order and returns its index into
+    /// the circuits and its final state (the workspace's serial engine
+    /// state), or `None` once every lane has been visited.
+    pub fn next_lane(&mut self) -> Option<(usize, &SimEngine)> {
+        let ws = &mut *self.ws;
+        let &(diverge, lane) = ws.fork_order.get(self.next)?;
+        self.next += 1;
+        ws.run_stamp += 1;
+        let circuit = &self.circuits[lane];
+        let n = circuit.n_qubits();
+        if diverge == 0 {
+            ws.dense_slot(n).reset_zero();
+        } else {
+            let mut trunk = ws
+                .trunk
+                .take()
+                .filter(|t| t.n_qubits() == n)
+                .unwrap_or_else(|| {
+                    ws.batch_reallocations += 1;
+                    StateVector::new_with(n, ws.config)
+                });
+            if self.trunk_at.is_none() {
+                trunk.reset_zero();
+            }
+            for pos in self.trunk_at.unwrap_or(0)..diverge {
+                let gate = &self.circuits[ws.trunk_src[pos]].gates()[pos];
+                apply_dense_gate(&mut trunk, &mut ws.diag_cache, gate);
+            }
+            self.trunk_at = Some(diverge);
+            ws.dense_slot(n).copy_from(&trunk);
+            ws.trunk = Some(trunk);
+        }
+        let Some(SimEngine::Dense(state)) = &mut ws.engine else {
+            unreachable!("engine prepared as dense");
+        };
+        for gate in &circuit.gates()[diverge..] {
+            apply_dense_gate(state, &mut ws.diag_cache, gate);
+        }
+        Some((lane, ws.engine.as_ref().expect("engine prepared")))
+    }
+}
+
+/// Applies one gate on the dense engine, routing diagonal evolutions
+/// through the per-`Arc` diagonal cache.
+fn apply_dense_gate(state: &mut StateVector, diag_cache: &mut Vec<CachedDiag>, gate: &Gate) {
+    match gate {
+        Gate::DiagPhase(poly, theta) => apply_cached_diag(state, diag_cache, poly, *theta),
+        g => state.apply_gate(g),
     }
 }
 
@@ -605,16 +803,11 @@ fn apply_cached_diag(
             // match again, and each holds a 2^n-element Vec — a
             // long-lived workspace would otherwise grow per solve.
             diag_cache.retain(|e| e.poly.strong_count() > 0);
-            let mut values = vec![0.0f64; dim];
-            kernels::accumulate_poly_diag(&mut values, poly);
-            diag_cache.push(CachedDiag {
-                poly: Arc::downgrade(poly),
-                values,
-            });
+            diag_cache.push(CachedDiag::new(poly, dim));
             diag_cache.len() - 1
         }
     };
-    state.apply_diag_values(&diag_cache[idx].values, theta);
+    diag_cache[idx].apply(state, theta);
 }
 #[cfg(test)]
 mod tests {
@@ -1135,6 +1328,88 @@ mod tests {
             for bits in 0..1u64 << circuit.n_qubits() {
                 assert_eq!(plain.amplitude(bits), last.amplitude(bits));
             }
+        }
+    }
+
+    /// A dense circuit with a shared diagonal: every parameter feeds one
+    /// gate, so a lane with `params[i]` perturbed diverges there.
+    fn dense_layer(n: usize, poly: &Arc<PhasePoly>, params: &[f64]) -> Circuit {
+        let mut c = Circuit::new(n);
+        for q in 0..n {
+            c.h(q);
+        }
+        c.diag(poly.clone(), params[0]);
+        for q in 0..n {
+            c.ry(q, params[1 + q]);
+        }
+        c.cz(0, 1);
+        c
+    }
+
+    #[test]
+    fn run_forked_declines_compact_shapes_mixed_widths_and_empty_groups() {
+        let poly = test_poly(4);
+        let mut ws = SimWorkspace::new(SimConfig::serial());
+        let confined = vec![confined_4q(&poly, 0.3), confined_4q(&poly, 0.9)];
+        assert!(ws.run_forked(&confined).is_none(), "compact shape");
+        assert!(ws.run_forked(&[]).is_none(), "empty group");
+        assert!(
+            ws.run_forked(&[mixer(10), mixer(11)]).is_none(),
+            "mixed widths"
+        );
+        // A shape compact refuses forks; on the dense engine every shape does.
+        assert!(ws.run_forked(&[mixer(10), mixer(10)]).is_some());
+        assert!(SimWorkspace::new(dense()).run_forked(&confined).is_some());
+    }
+
+    #[test]
+    fn warm_forked_batches_reuse_one_trunk_buffer() {
+        let poly = test_poly(5);
+        let mut ws = SimWorkspace::new(dense());
+        for round in 0..5 {
+            let circuits: Vec<Circuit> = (0..6)
+                .map(|i| {
+                    let mut x = vec![0.1 * round as f64; 6];
+                    x[i] += 0.5;
+                    dense_layer(5, &poly, &x)
+                })
+                .collect();
+            let mut forked = ws.run_forked(&circuits).unwrap();
+            while forked.next_lane().is_some() {}
+        }
+        assert_eq!(ws.batch_reallocations(), 1, "trunk allocated once");
+        assert_eq!(ws.reallocations(), 1, "fork state allocated once");
+        assert_eq!(ws.cached_diagonals(), 1);
+    }
+
+    #[test]
+    fn indexed_diagonal_matches_the_uncached_engine_bitwise() {
+        // Few distinct values (the cis-per-distinct-value path, zeros
+        // skipped) and many (the per-amplitude path): both bit-identical
+        // to the bare engine's per-amplitude `cis`.
+        let mut few = PhasePoly::new(6);
+        for i in 0..6 {
+            few.add_linear(i, 1.0);
+        }
+        let mut many = PhasePoly::new(6);
+        for i in 0..6 {
+            many.add_linear(i, 0.37 * (1u64 << i) as f64);
+        }
+        for (poly, indexed) in [(few, true), (many, false)] {
+            let poly = Arc::new(poly);
+            let mut ws = SimWorkspace::new(dense());
+            for theta in [0.3, -1.7, 0.0, -0.0] {
+                let mut c = mixer(6);
+                c.diag(poly.clone(), theta)
+                    .ry(0, 0.4)
+                    .diag(poly.clone(), 2.0 * theta);
+                let want = StateVector::run_with(&c, SimConfig::serial());
+                let got = ws.run(&c).as_dense().unwrap().clone();
+                for (a, b) in got.amplitudes().iter().zip(want.amplitudes()) {
+                    assert!(a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits());
+                }
+            }
+            assert_eq!(!ws.diag_cache[0].index.is_empty(), indexed);
         }
     }
 

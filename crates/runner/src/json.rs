@@ -93,13 +93,21 @@ impl Json {
 pub(crate) struct JsonParser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
+
+/// Deepest array/object nesting the reader accepts. Journal records and
+/// protocol requests nest two or three levels; the cap keeps a hostile
+/// line of brackets from overflowing the recursive descent's stack.
+const MAX_DEPTH: usize = 64;
 
 impl<'a> JsonParser<'a> {
     pub(crate) fn parse(text: &'a str) -> Result<Json, String> {
         let mut p = JsonParser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         let value = p.value()?;
         p.skip_ws();
@@ -144,8 +152,22 @@ impl<'a> JsonParser<'a> {
     fn value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at offset {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let nested = if self.peek() == Some(b'{') {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                nested
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') if self.literal("true") => Ok(Json::Bool(true)),
             Some(b'f') if self.literal("false") => Ok(Json::Bool(false)),
@@ -333,6 +355,67 @@ pub(crate) fn record_from_json(value: &Json) -> Result<Record, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A journal record line and a protocol request: the two kinds of
+    /// line the reader meets in the field.
+    const TEMPLATES: [&str; 2] = [
+        r#"{"index": 3, "record": {"problem": "F1", "solver": "hea", "seed": 2, "success_rate": 0.125, "counts": [1, 2, 3], "engine": "dense", "ok": true, "note": null}}"#,
+        r#"{"op": "submit", "job": {"name": "jé", "problems": ["F1", "K2"], "shots": 300, "deadline_secs": 1.5e1}}"#,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Mangled and arbitrary lines never panic the reader (nor the
+        /// record decoder behind it): every input parses or yields an
+        /// error. Modes: truncation, a bit flip, a byte spliced in,
+        /// arbitrary bytes, and bracket runs far past the depth cap.
+        #[test]
+        fn mangled_json_never_panics(
+            template in 0usize..2,
+            at in 0usize..512,
+            bit in 0u32..8,
+            byte in 0u32..256,
+            mode in 0u32..5,
+            seed in any::<u64>(),
+        ) {
+            let text = TEMPLATES[template].as_bytes();
+            let bytes: Vec<u8> = match mode {
+                0 => text[..at.min(text.len())].to_vec(),
+                1 => {
+                    let mut b = text.to_vec();
+                    b[at % text.len()] ^= 1 << bit;
+                    b
+                }
+                2 => {
+                    let mut b = text.to_vec();
+                    b.insert(at % (text.len() + 1), byte as u8);
+                    b
+                }
+                3 => {
+                    let mut state = seed;
+                    (0..at % 96)
+                        .map(|_| {
+                            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                            (state >> 56) as u8
+                        })
+                        .collect()
+                }
+                _ => {
+                    let open = if bit % 2 == 0 { "[" } else { "{\"a\":" };
+                    open.repeat(1000 + at * 100).into_bytes()
+                }
+            };
+            let line = String::from_utf8_lossy(&bytes);
+            if let Ok(value) = JsonParser::parse(&line) {
+                let _ = value.brief();
+                if let Some(record) = value.get("record") {
+                    let _ = record_from_json(record);
+                }
+            }
+        }
+    }
 
     #[test]
     fn parser_rejects_garbage() {
@@ -357,6 +440,14 @@ mod tests {
                 .as_str(),
             Some("A")
         );
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(JsonParser::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = JsonParser::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
     }
 
     #[test]

@@ -255,6 +255,66 @@ fn split_array_items(inner: &str) -> Result<Vec<&str>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::ExperimentSpec;
+    use proptest::prelude::*;
+
+    /// A complete experiment spec in the supported subset.
+    const SPEC: &str = "# spec\nname = \"t\"\ndescription = \"a # b\"\n\n[grid]\n\
+        problems = [\"F1\", \"K2\"]\nsolvers = [\"choco-q\", \"hea\"]\nlayers = [1, 2]\n\
+        seeds = [1, 2]\nnoisy = false\n\n[config]\nshots = 300\nmax_iters = 4\n\
+        noise_trajectories = 12\ntranspiled_stats = false\n";
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Mangled and arbitrary documents never panic the TOML reader
+        /// nor spec validation on top of it: every input parses or
+        /// yields an error. Modes: truncation, a bit flip, a byte
+        /// spliced in, and arbitrary bytes.
+        #[test]
+        fn mangled_toml_never_panics(
+            at in 0usize..512,
+            bit in 0u32..8,
+            byte in 0u32..256,
+            mode in 0u32..4,
+            seed in any::<u64>(),
+        ) {
+            let text = SPEC.as_bytes();
+            let bytes: Vec<u8> = match mode {
+                0 => text[..at.min(text.len())].to_vec(),
+                1 => {
+                    let mut b = text.to_vec();
+                    b[at % text.len()] ^= 1 << bit;
+                    b
+                }
+                2 => {
+                    let mut b = text.to_vec();
+                    b.insert(at % (text.len() + 1), byte as u8);
+                    b
+                }
+                _ => {
+                    let mut state = seed;
+                    (0..at % 128)
+                        .map(|_| {
+                            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                            let alphabet = b"[]=\",# \nabcz019.-_e";
+                            alphabet[(state >> 40) as usize % alphabet.len()]
+                        })
+                        .collect()
+                }
+            };
+            let doc = String::from_utf8_lossy(&bytes);
+            let _ = parse(&doc);
+            let _ = ExperimentSpec::parse_str(&doc);
+        }
+    }
+
+    #[test]
+    fn the_mangling_template_is_a_valid_spec() {
+        if let Err(e) = ExperimentSpec::parse_str(SPEC) {
+            panic!("{e}");
+        }
+    }
 
     #[test]
     fn parses_sections_scalars_and_arrays() {

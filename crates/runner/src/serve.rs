@@ -1394,9 +1394,16 @@ fn admission_qubits(problem: &choco_model::Problem) -> usize {
     choco_core::encoded_qubits_for(problem.constraints()).unwrap_or(problem.n_vars())
 }
 
+/// Resident bytes per basis state of a cell that runs dense: the
+/// engine's amplitude (16), the forked batch's trunk amplitude (16), the
+/// `2^n` cost table (8), and the cached diagonal's value (8) with its
+/// distinct-value index (4).
+const DENSE_BYTES_PER_STATE: u64 = 16 + 16 + 8 + 8 + 4;
+
 /// Estimated resident simulator bytes for one cell under the job's
-/// resolved simulator configuration: the dense engine holds the full
-/// `2^n` complex amplitudes at 16 bytes each; the compact engine holds
+/// resolved simulator configuration: a cell that runs dense holds
+/// [`DENSE_BYTES_PER_STATE`] bytes for each of its `2^n` basis states;
+/// the compact engine holds
 /// one packed entry (~32 bytes) per feasible-space amplitude for Choco-Q
 /// cells, bounded by the enumerated feasible count `|F|`, plus — at batch
 /// width K > 1 — a K-lane buffer of 16-byte amplitudes per feasible
@@ -1422,7 +1429,7 @@ fn cell_sim_bytes(cell: &Cell, instance: &Instance, sim: &SimConfig) -> u64 {
                 .saturating_mul(32)
                 .saturating_add(feasible.saturating_mul(16).saturating_mul(lanes))
         }
-        _ => full.saturating_mul(16),
+        _ => full.saturating_mul(DENSE_BYTES_PER_STATE),
     }
 }
 
@@ -1722,8 +1729,10 @@ mod tests {
         );
         let dense = SimConfig::serial().with_engine(EngineKind::Dense);
         let compact = SimConfig::serial().with_engine(EngineKind::Compact);
-        // Dense holds the full register regardless of solver.
-        assert_eq!(cell_sim_bytes(choco, instance, &dense), full * 16);
+        // Dense holds the full register regardless of solver: state,
+        // trunk, cost table and cached diagonal with its index.
+        let dense_bytes = full * (16 + 16 + 8 + 8 + 4);
+        assert_eq!(cell_sim_bytes(choco, instance, &dense), dense_bytes);
         // Compact is |F|-bounded for Choco-Q only.
         assert_eq!(cell_sim_bytes(choco, instance, &compact), feasible * 32);
         // A batched Choco-Q job also holds its K-lane buffer; batching
@@ -1734,7 +1743,7 @@ mod tests {
         );
         assert_eq!(
             cell_sim_bytes(choco, instance, &dense.with_batch(8)),
-            full * 16
+            dense_bytes
         );
         // Register-filling solvers run on compact's dense fallback and
         // are sized as dense, not at compact's per-entry cost.
@@ -1742,12 +1751,37 @@ mod tests {
             for sim in [dense, compact, compact.with_batch(8)] {
                 assert_eq!(
                     cell_sim_bytes(solver, instance, &sim),
-                    full * 16,
+                    dense_bytes,
                     "{} on {}",
                     solver.solver.label(),
                     sim.engine
                 );
             }
+        }
+    }
+
+    #[test]
+    fn mem_estimate_of_a_15_qubit_hea_cell_is_pinned() {
+        // Table I's 15-qubit GCP under HEA runs dense on either engine:
+        // 2^15 × (16 state + 16 trunk + 8 cost table + 8 diagonal + 4
+        // index) bytes.
+        let cells = crate::run::expand_grid_cells(
+            &ExperimentSpec::parse_str(
+                "name = \"m\"\n[grid]\nproblems = [\"gcp:3x2x3\"]\n\
+                 solvers = [\"hea\"]\nseeds = [1]\n",
+            )
+            .unwrap(),
+            false,
+        )
+        .unwrap();
+        let instances = build_instances(&cells).unwrap();
+        let instance = instances.values().next().unwrap();
+        assert_eq!(instance.problem.n_vars(), 15);
+        for sim in [
+            SimConfig::serial().with_engine(EngineKind::Dense),
+            SimConfig::serial().with_engine(EngineKind::Compact),
+        ] {
+            assert_eq!(cell_sim_bytes(&cells[0], instance, &sim), 1_703_936);
         }
     }
 

@@ -181,15 +181,20 @@ impl CostSpec<'_> {
 }
 
 /// The variational objective handed to the optimizers: maps a parameter
-/// vector to `E[cost]` through one circuit execution, and — when the
-/// simulator configuration enables batching — evaluates groups of
-/// independent candidates through [`SimWorkspace::run_batch`], one plan
-/// traversal for up to `batch_size` angle sets.
+/// vector to `E[cost]` through one circuit execution, and evaluates groups
+/// of independent candidates ([`choco_optim::Objective::eval_batch`])
+/// through the workspace's batch paths:
 ///
-/// Bit-identity: the lanes of a batched replay run the same plan executor
-/// as a serial (one-lane) replay, lane by lane, so every value this
-/// objective returns is identical whether it went through `eval`,
-/// a batched chunk, or the sequential fallback — optimizer trajectories
+/// * a group whose shape runs dense goes, whole, through
+///   [`SimWorkspace::run_forked`], which replays the circuit prefix the
+///   candidates share once — whatever `batch_size` is;
+/// * a group whose shape runs compact is cut into `batch_size`-lane
+///   chunks, each one [`SimWorkspace::run_batch`] pass (lane by lane
+///   through [`SimWorkspace::run`] at `batch_size` 1).
+///
+/// Bit-identity: every batch path gives each lane exactly the state a
+/// serial run of its circuit gives, so every value this objective returns
+/// is identical whichever path it went through — optimizer trajectories
 /// cannot depend on `batch_size`.
 struct BatchedObjective<'a, F: Fn(&[f64]) -> Circuit> {
     build: &'a F,
@@ -198,13 +203,13 @@ struct BatchedObjective<'a, F: Fn(&[f64]) -> Circuit> {
     workspace: &'a std::cell::RefCell<&'a mut SimWorkspace>,
     deadline_hit: &'a std::cell::Cell<bool>,
     execute_time: &'a std::cell::Cell<std::time::Duration>,
-    /// Reused circuit buffer for batched chunks (no per-chunk Vec).
+    /// Reused circuit buffer for candidate groups (no per-group Vec).
     circuits: Vec<Circuit>,
 }
 
 impl<F: Fn(&[f64]) -> Circuit> BatchedObjective<'_, F> {
-    /// The sticky cooperative-deadline check shared by both evaluation
-    /// paths: returns `true` once [`QaoaConfig::deadline`] has passed or
+    /// The sticky cooperative-deadline check shared by every evaluation
+    /// path: returns `true` once [`QaoaConfig::deadline`] has passed or
     /// [`QaoaConfig::cancel`] has been set.
     fn deadline_expired(&self) -> bool {
         if self.deadline_hit.get() {
@@ -240,46 +245,54 @@ impl<F: Fn(&[f64]) -> Circuit> choco_optim::Objective for BatchedObjective<'_, F
 
     fn eval_batch(&mut self, xs: &[Vec<f64>], out: &mut Vec<f64>) {
         out.clear();
-        let k = self.config.sim.batch_size;
-        if k <= 1 {
-            for x in xs {
-                out.push(self.eval(x));
-            }
+        if xs.len() < 2 {
+            out.extend(xs.iter().map(|x| self.eval(x)));
             return;
         }
-        for chunk in xs.chunks(k) {
-            // The sticky deadline check fires inside the batched loop,
-            // once per chunk: when it trips, the whole chunk gets the
-            // same `+inf` every member would have gotten serially.
-            if self.deadline_expired() {
-                out.extend(std::iter::repeat_n(f64::INFINITY, chunk.len()));
-                continue;
+        // The sticky deadline check fires before each forked lane, each
+        // compact chunk and each serial lane: a candidate it stops gets
+        // the same `+inf` it would have gotten from a serial `eval`.
+        out.resize(xs.len(), f64::INFINITY);
+        if self.deadline_expired() {
+            return;
+        }
+        self.circuits.clear();
+        self.circuits.extend(xs.iter().map(|x| (self.build)(x)));
+        let t0 = Instant::now();
+        let mut ws = self.workspace.borrow_mut();
+        if let Some(mut forked) = ws.run_forked(&self.circuits) {
+            while !self.deadline_expired() {
+                let Some((lane, state)) = forked.next_lane() else {
+                    break;
+                };
+                out[lane] = self.cost.expectation(state);
             }
-            if chunk.len() == 1 {
-                out.push(self.eval(&chunk[0]));
-                continue;
-            }
-            self.circuits.clear();
-            self.circuits.extend(chunk.iter().map(|x| (self.build)(x)));
-            let t0 = Instant::now();
-            let mut ws = self.workspace.borrow_mut();
-            if let Some(batch) = ws.run_batch(&self.circuits) {
-                for lane in 0..chunk.len() {
-                    out.push(self.cost.expectation_lane(batch, lane));
+        } else {
+            let k = self.config.sim.batch_size.max(1);
+            for (chunk, values) in self.circuits.chunks(k).zip(out.chunks_mut(k)) {
+                if self.deadline_expired() {
+                    break;
                 }
-                self.execute_time
-                    .set(self.execute_time.get() + t0.elapsed());
-            } else {
-                // Batching doesn't apply (wrong engine, fallback shape):
-                // release the workspace borrow and evaluate sequentially.
-                drop(ws);
-                self.execute_time
-                    .set(self.execute_time.get() + t0.elapsed());
-                for x in chunk {
-                    out.push(self.eval(x));
+                match (chunk.len() > 1).then(|| ws.run_batch(chunk)).flatten() {
+                    Some(batch) => {
+                        for (lane, value) in values.iter_mut().enumerate() {
+                            *value = self.cost.expectation_lane(batch, lane);
+                        }
+                    }
+                    // One-lane chunks, and lanes of differing shapes.
+                    None => {
+                        for (circuit, value) in chunk.iter().zip(values.iter_mut()) {
+                            if self.deadline_expired() {
+                                break;
+                            }
+                            *value = self.cost.expectation(ws.run(circuit));
+                        }
+                    }
                 }
             }
         }
+        self.execute_time
+            .set(self.execute_time.get() + t0.elapsed());
     }
 }
 
@@ -612,8 +625,8 @@ mod tests {
             assert_eq!(serial.iterations, batched.iterations, "batch {k}");
             assert_eq!(compilations, 1, "batch {k} must reuse one plan");
         }
-        // Non-compact engines take the sequential fallback and still
-        // produce the same trajectory.
+        // The dense engine forks every candidate group off a shared
+        // trunk and still produces the same trajectory.
         let dense = SimConfig::serial().with_engine(EngineKind::Dense);
         let (dense, _) = run_confined_loop(dense.with_batch(8));
         assert_eq!(serial.counts, dense.counts);
@@ -622,46 +635,107 @@ mod tests {
 
     #[test]
     fn expired_deadline_is_honored_inside_the_batched_loop() {
+        // A compact-shaped one-qubit loop (chunked batches) and a
+        // dense-shaped H-first loop that fills an 8-qubit register
+        // (forked batches on either engine).
+        let dense_cost: Vec<f64> = (0..256).map(|b: u32| b.count_ones() as f64).collect();
+        let cases: [(usize, &[f64], EngineKind); 3] = [
+            (1, &[0.0, 1.0], EngineKind::Compact),
+            (8, &dense_cost, EngineKind::Compact),
+            (8, &dense_cost, EngineKind::Dense),
+        ];
         let expired = Some(Instant::now() - std::time::Duration::from_secs(1));
-        let mut results = Vec::new();
-        for k in [1usize, 8] {
-            let sim = SimConfig::serial()
-                .with_engine(EngineKind::Compact)
-                .with_batch(k);
-            let config = QaoaConfig {
-                layers: 1,
-                shots: 2_000,
-                max_iters: 25,
-                transpiled_stats: false,
-                sim,
-                deadline: expired,
-                ..QaoaConfig::default()
-            };
-            let mut workspace = SimWorkspace::new(sim);
-            let result = variational_loop(
-                1,
-                |params| {
-                    let mut c = Circuit::new(1);
-                    c.rx(0, params[0]);
-                    c
-                },
-                &CostSpec::Table(&[0.0, 1.0]),
-                &[2.0],
-                &config,
-                &mut workspace,
-            );
-            assert!(result.deadline_exceeded, "batch {k}");
-            assert_eq!(result.counts, Counts::new(), "batch {k}: sampling skipped");
-            assert!(
-                result.cost_history.iter().all(|v| v.is_infinite()),
-                "batch {k}: every evaluation must short-circuit to +inf"
-            );
-            results.push(result);
+        for (n, cost, engine) in cases {
+            let mut results = Vec::new();
+            for k in [1usize, 8] {
+                let sim = SimConfig::serial().with_engine(engine).with_batch(k);
+                let config = QaoaConfig {
+                    layers: 1,
+                    shots: 2_000,
+                    max_iters: 25,
+                    transpiled_stats: false,
+                    sim,
+                    deadline: expired,
+                    ..QaoaConfig::default()
+                };
+                let mut workspace = SimWorkspace::new(sim);
+                let result = variational_loop(
+                    n,
+                    |params| {
+                        let mut c = Circuit::new(n);
+                        if n > 1 {
+                            for q in 0..n {
+                                c.h(q);
+                            }
+                        }
+                        for q in 0..n {
+                            c.rx(q, params[0]);
+                        }
+                        c
+                    },
+                    &CostSpec::Table(cost),
+                    &[2.0],
+                    &config,
+                    &mut workspace,
+                );
+                let case = format!("n={n} {engine} batch {k}");
+                assert!(result.deadline_exceeded, "{case}");
+                assert_eq!(result.counts, Counts::new(), "{case}: sampling skipped");
+                assert!(
+                    result.cost_history.iter().all(|v| v.is_infinite()),
+                    "{case}: every evaluation must short-circuit to +inf"
+                );
+                assert!(workspace.state().is_none(), "{case}: nothing ran");
+                results.push(result);
+            }
+            // The sticky check fires inside every batched path, so the
+            // drained trajectories are identical at every batch size.
+            assert_eq!(results[0].cost_history, results[1].cost_history);
+            assert_eq!(results[0].iterations, results[1].iterations);
         }
-        // The sticky check fires inside the batched chunk loop, so the
-        // drained trajectories are identical at every batch size.
-        assert_eq!(results[0].cost_history, results[1].cost_history);
-        assert_eq!(results[0].iterations, results[1].iterations);
+    }
+
+    #[test]
+    fn cancellation_between_forked_lanes_stops_the_group() {
+        // A cancel flag raised while a dense group is being built is seen
+        // before the first forked lane runs: the group's lanes all come
+        // back `+inf` and the engine never executes a circuit.
+        let flag = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let sim = SimConfig::serial().with_engine(EngineKind::Dense);
+        let config = QaoaConfig {
+            layers: 1,
+            shots: 100,
+            max_iters: 10,
+            transpiled_stats: false,
+            sim,
+            cancel: Some(flag.clone()),
+            ..QaoaConfig::default()
+        };
+        let cost: Vec<f64> = (0..16).map(|b: u32| b.count_ones() as f64).collect();
+        let builds = std::cell::Cell::new(0usize);
+        let mut workspace = SimWorkspace::new(sim);
+        let result = variational_loop(
+            4,
+            |params| {
+                builds.set(builds.get() + 1);
+                if builds.get() == 2 {
+                    // Mid-way through building the first candidate group.
+                    flag.store(true, std::sync::atomic::Ordering::SeqCst);
+                }
+                let mut c = Circuit::new(4);
+                for (q, &theta) in params.iter().enumerate() {
+                    c.h(q).ry(q, theta);
+                }
+                c
+            },
+            &CostSpec::Table(&cost),
+            &[0.1, 0.2, 0.3, 0.4],
+            &config,
+            &mut workspace,
+        );
+        assert!(result.deadline_exceeded);
+        assert!(result.cost_history.iter().all(|v| v.is_infinite()));
+        assert!(workspace.state().is_none(), "no lane ran after the cancel");
     }
 
     #[test]

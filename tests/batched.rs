@@ -12,11 +12,19 @@
 //! second half locks the resource story: one plan compilation across
 //! serial runs × batches × workers sharing a cache, and zero K-lane buffer
 //! allocations after warmup.
+//!
+//! Shapes that run dense are batched differently: a forked batch
+//! ([`SimWorkspace::run_forked`]) replays the gate prefix the lanes share
+//! once on a trunk state and forks each lane off it. The same
+//! bit-identity contract holds there, lane by lane, against a serial
+//! [`SimWorkspace::run`] and the bare dense engine.
 
 use choco_q::core::{ChocoQSolver, CommuteDriver};
-use choco_q::mathkit::SplitMix64;
+use choco_q::mathkit::{Complex64, SplitMix64};
 use choco_q::model::Problem;
-use choco_q::qsim::{Circuit, EngineKind, PlanCache, SimConfig, SimWorkspace, StateVector};
+use choco_q::qsim::{
+    Circuit, EngineKind, Gate, PhasePoly, PlanCache, SimConfig, SimWorkspace, StateVector,
+};
 use choco_q::runner::ProblemRef;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -200,6 +208,230 @@ proptest! {
     }
 }
 
+/// One gate slot of a random dense circuit template; parametric slots
+/// take their angle from the next entry of the lane's parameter vector.
+#[derive(Clone, Copy, Debug)]
+enum Slot {
+    H(usize),
+    Rx(usize),
+    Ry(usize),
+    Rz(usize),
+    Cx(usize, usize),
+    Cz(usize, usize),
+    Cp(usize, usize),
+    /// A controlled `Ry` (control, target) as a general controlled unitary.
+    CtrlRy(usize, usize),
+    Xy(usize, usize),
+    Diag,
+}
+
+impl Slot {
+    fn is_parametric(self) -> bool {
+        !matches!(self, Slot::H(_) | Slot::Cx(..) | Slot::Cz(..))
+    }
+}
+
+/// A random register-filling template over `n` qubits: a Hadamard layer
+/// first, then random slots, always including a rotation on qubit 0 and
+/// controlled gates whose control is bit 0.
+fn dense_template(rng: &mut SplitMix64, n: usize) -> Vec<Slot> {
+    let mut slots: Vec<Slot> = (0..n).map(Slot::H).collect();
+    slots.extend([
+        Slot::Rx(0),
+        Slot::CtrlRy(0, 1),
+        Slot::Cx(0, n - 1),
+        Slot::Diag,
+    ]);
+    for _ in 0..4 + rng.gen_range(0, 16) {
+        let a = rng.gen_range(0, n as u64) as usize;
+        let b = (a + 1 + rng.gen_range(0, n as u64 - 1) as usize) % n;
+        slots.push(match rng.gen_range(0, 10) {
+            0 => Slot::H(a),
+            1 => Slot::Rx(a),
+            2 => Slot::Ry(a),
+            3 => Slot::Rz(a),
+            4 => Slot::Cx(a, b),
+            5 => Slot::Cz(a, b),
+            6 => Slot::Cp(a, b),
+            7 => Slot::CtrlRy(a, b),
+            8 => Slot::Xy(a, b),
+            _ => Slot::Diag,
+        });
+    }
+    slots
+}
+
+fn template_params(slots: &[Slot]) -> usize {
+    slots.iter().filter(|s| s.is_parametric()).count()
+}
+
+fn build_template(n: usize, slots: &[Slot], poly: &Arc<PhasePoly>, params: &[f64]) -> Circuit {
+    let mut c = Circuit::new(n);
+    let mut next = params.iter().copied();
+    for &slot in slots {
+        let mut angle = || next.next().expect("one parameter per parametric slot");
+        match slot {
+            Slot::H(q) => c.h(q),
+            Slot::Rx(q) => c.rx(q, angle()),
+            Slot::Ry(q) => c.ry(q, angle()),
+            Slot::Rz(q) => c.rz(q, angle()),
+            Slot::Cx(a, b) => c.cx(a, b),
+            Slot::Cz(a, b) => c.cz(a, b),
+            Slot::Cp(a, b) => c.cp(a, b, angle()),
+            Slot::CtrlRy(a, b) => {
+                let (sin, cos) = (angle() / 2.0).sin_cos();
+                let real = |x: f64| Complex64::new(x, 0.0);
+                c.push(Gate::ControlledU {
+                    controls: vec![a],
+                    target: b,
+                    matrix: [[real(cos), real(-sin)], [real(sin), real(cos)]],
+                })
+            }
+            Slot::Xy(a, b) => c.xy(a, b, angle()),
+            Slot::Diag => c.diag(poly.clone(), angle()),
+        };
+    }
+    c
+}
+
+/// The candidate groups optimizers send: an axis-perturbed simplex
+/// (center plus `center + ρ·e_i`), SPSA-style `±Δ` pairs that share no
+/// parameter, a group with lanes identical to the center, and lanes that
+/// flip an exact `0.0` angle to `-0.0`.
+fn candidate_params(rng: &mut SplitMix64, p: usize, mode: usize) -> Vec<Vec<f64>> {
+    let mut center: Vec<f64> = (0..p).map(|_| rng.gen_range_f64(-1.5, 1.5)).collect();
+    match mode {
+        0 => std::iter::once(center.clone())
+            .chain((0..p).map(|i| {
+                let mut x = center.clone();
+                x[i] += 0.3;
+                x
+            }))
+            .collect(),
+        1 => (0..4)
+            .flat_map(|_| {
+                let delta: Vec<f64> = (0..p)
+                    .map(|_| if rng.gen_range(0, 2) == 0 { 0.1 } else { -0.1 })
+                    .collect();
+                let plus = center.iter().zip(&delta).map(|(c, d)| c + d).collect();
+                let minus = center.iter().zip(&delta).map(|(c, d)| c - d).collect();
+                [plus, minus]
+            })
+            .collect(),
+        2 => {
+            let mut tail = center.clone();
+            tail[p - 1] -= 0.2;
+            vec![center.clone(), tail, center.clone(), center]
+        }
+        _ => {
+            for (i, x) in center.iter_mut().enumerate() {
+                if i % 2 == 0 {
+                    *x = 0.0;
+                }
+            }
+            std::iter::once(center.clone())
+                .chain((0..p).step_by(2).map(|i| {
+                    let mut x = center.clone();
+                    x[i] = -0.0;
+                    x
+                }))
+                .collect()
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Every lane of a forked dense batch equals a per-lane
+    /// `SimWorkspace::run` bit for bit — amplitudes by `to_bits` and the
+    /// expectation — and the bare dense engine too, at 1 and 2 worker
+    /// threads, on the dense engine and on compact-refused shapes. Some
+    /// lanes carry a distinct `Arc` of equal content for the diagonal,
+    /// which must diverge (pointer identity), not be shared.
+    #[test]
+    fn forked_lanes_match_serial_runs_bitwise(
+        seed in any::<u64>(),
+        n in 2usize..9,
+        mode in 0usize..4,
+    ) {
+        let mut rng = SplitMix64::new(seed);
+        let slots = dense_template(&mut rng, n);
+        let mut poly = PhasePoly::new(n);
+        for q in 0..n {
+            poly.add_linear(q, (1 + rng.gen_range(0, 3)) as f64);
+        }
+        poly.add_quadratic(0, n - 1, -1.0);
+        let shared = Arc::new(poly);
+        let params = candidate_params(&mut rng, template_params(&slots), mode);
+        let circuits: Vec<Circuit> = params
+            .iter()
+            .map(|x| {
+                let poly = if rng.gen_range(0, 4) == 0 {
+                    Arc::new(PhasePoly::clone(&shared))
+                } else {
+                    shared.clone()
+                };
+                build_template(n, &slots, &poly, x)
+            })
+            .collect();
+        let table: Vec<f64> = (0..1u64 << n).map(|b| shared.eval_bits(b)).collect();
+
+        let mut reference = SimWorkspace::new(SimConfig::serial().with_engine(EngineKind::Dense));
+        let expected: Vec<(Vec<Complex64>, f64)> = circuits
+            .iter()
+            .map(|c| {
+                let state = reference.run(c);
+                let amps: Vec<Complex64> = (0..1u64 << n).map(|b| state.amplitude(b)).collect();
+                (amps, state.expectation_diag_values(&table))
+            })
+            .collect();
+        for (circuit, (amps, _)) in circuits.iter().zip(&expected) {
+            let bare = StateVector::run_with(circuit, SimConfig::serial());
+            prop_assert!(
+                bare.amplitudes().iter().zip(amps).all(|(a, b)| {
+                    a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits()
+                }),
+                "workspace run diverged from the bare dense engine"
+            );
+        }
+
+        let configs = [
+            SimConfig::serial().with_engine(EngineKind::Dense),
+            SimConfig { threads: 2, parallel_threshold: 1, ..SimConfig::serial() }
+                .with_engine(EngineKind::Dense),
+            SimConfig::serial(),
+        ];
+        for config in configs {
+            let mut ws = SimWorkspace::new(config);
+            let Some(mut forked) = ws.run_forked(&circuits) else {
+                // Only the compact engine declines, on shapes it compiles.
+                prop_assert!(config.engine == EngineKind::Compact);
+                continue;
+            };
+            let mut visits = vec![0usize; circuits.len()];
+            while let Some((lane, state)) = forked.next_lane() {
+                visits[lane] += 1;
+                let (amps, expectation) = &expected[lane];
+                for (bits, want) in amps.iter().enumerate() {
+                    let got = state.amplitude(bits as u64);
+                    prop_assert!(
+                        got.re.to_bits() == want.re.to_bits()
+                            && got.im.to_bits() == want.im.to_bits(),
+                        "mode={mode} lane={lane} bits={bits}: forked {got} serial {want}"
+                    );
+                }
+                prop_assert_eq!(
+                    state.expectation_diag_values(&table).to_bits(),
+                    expectation.to_bits(),
+                    "mode={} lane={}: expectation diverged", mode, lane
+                );
+            }
+            prop_assert!(visits.iter().all(|&v| v == 1), "each lane exactly once: {visits:?}");
+        }
+    }
+}
+
 #[test]
 fn batch_wider_than_the_feasible_set_is_exact() {
     // K = 17 lanes on a tiny instance whose |F| is far smaller than K:
@@ -312,5 +544,34 @@ fn warm_serial_and_batched_replays_allocate_nothing() {
             .sum::<f64>();
     }
     assert_eq!(allocations() - before, 0, "warm replays allocated");
+    assert!(total.is_finite());
+
+    // The warm dense fork path: trunk, fork state, diagonal cache and the
+    // lane-order scratch all stay allocated between groups.
+    let n = 8;
+    let mut rng = SplitMix64::new(23);
+    let slots = dense_template(&mut rng, n);
+    let mut poly = PhasePoly::new(n);
+    for q in 0..n {
+        poly.add_linear(q, 1.0);
+    }
+    let poly = Arc::new(poly);
+    let table: Vec<f64> = (0..1u64 << n).map(|b| poly.eval_bits(b)).collect();
+    let circuits: Vec<Circuit> = candidate_params(&mut rng, template_params(&slots), 0)
+        .iter()
+        .map(|x| build_template(n, &slots, &poly, x))
+        .collect();
+    let mut dense_ws = SimWorkspace::new(SimConfig::serial().with_engine(EngineKind::Dense));
+    let mut forked = dense_ws.run_forked(&circuits).expect("dense group forks");
+    while forked.next_lane().is_some() {}
+    let before = allocations();
+    let mut total = 0.0;
+    for _ in 0..3 {
+        let mut forked = dense_ws.run_forked(&circuits).expect("dense group forks");
+        while let Some((_, state)) = forked.next_lane() {
+            total += state.expectation_diag_values(&table);
+        }
+    }
+    assert_eq!(allocations() - before, 0, "warm forked batches allocated");
     assert!(total.is_finite());
 }

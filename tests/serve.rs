@@ -601,9 +601,10 @@ fn per_job_knobs_override_daemon_settings() {
 
 #[test]
 fn mem_budget_admission_has_an_exact_boundary() {
-    // The spec's cells are all dense-engine full-register estimates:
-    // 2^n × 16 bytes per worker. Compute the exact requirement and probe
-    // one byte below (rejected) and at it (accepted).
+    // The spec's peak cell is HEA, a dense full-register estimate:
+    // 2^n × 52 bytes per worker (state, forked-batch trunk, cost table,
+    // cached diagonal and its index). Compute the exact requirement and
+    // probe one byte below (rejected) and at it (accepted).
     let spec = ExperimentSpec::parse_str(SPEC).expect("spec");
     let cells = spec.expand_cells(false);
     let instances = build_instances(&cells).expect("instances");
@@ -613,7 +614,7 @@ fn mem_budget_admission_has_an_exact_boundary() {
         .expect("instance")
         .problem
         .n_vars() as u32;
-    let per_worker = 16u64 << n;
+    let per_worker = 52u64 << n;
     let workers = 2usize;
     let required = per_worker * workers as u64;
 
