@@ -1,7 +1,9 @@
 //! Circuit-level analyses used by the evaluation section.
 
 use crate::driver::CommuteDriver;
-use choco_qsim::{transpile, Circuit, EngineKind, SimConfig, SimWorkspace, TranspileOptions};
+use choco_qsim::{
+    transpiled_stats, Circuit, EngineKind, SimConfig, SimWorkspace, TranspileOptions,
+};
 use std::time::{Duration, Instant};
 
 /// The number of basis states with probability above `eps` after each gate
@@ -41,8 +43,9 @@ pub struct Lemma2Stats {
     pub gates: usize,
     /// Transpiled circuit depth.
     pub depth: usize,
-    /// Approximate working memory: the gate list itself (the lowering
-    /// never materializes a matrix).
+    /// Approximate working memory of the lowering: the size of its gate
+    /// list, `gates × size_of::<Gate>()` (the lowering never builds a
+    /// matrix). `lemma2_stats` itself only counts the gates.
     pub memory_bytes: usize,
 }
 
@@ -59,14 +62,14 @@ pub fn lemma2_stats(driver: &CommuteDriver, beta: f64) -> Lemma2Stats {
     for block in driver.ublocks(beta) {
         circuit.ublock(block);
     }
-    let lowered = transpile(&circuit, &TranspileOptions::with_ancillas(vec![n, n + 1]))
+    let lowered = transpiled_stats(&circuit, &TranspileOptions::with_ancillas(vec![n, n + 1]))
         .expect("two clean ancillas always suffice for Lemma 2");
     let time = t0.elapsed();
     Lemma2Stats {
         time,
-        gates: lowered.len(),
-        depth: lowered.depth(),
-        memory_bytes: lowered.len() * std::mem::size_of::<choco_qsim::Gate>(),
+        gates: lowered.gates,
+        depth: lowered.depth,
+        memory_bytes: lowered.gates * std::mem::size_of::<choco_qsim::Gate>(),
     }
 }
 

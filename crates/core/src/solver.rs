@@ -681,6 +681,7 @@ impl ChocoQSolver {
         // (with >1 worker the loops ran on worker-owned workspaces and
         // the caller's engine would otherwise be stale or empty).
         workspace.run(&final_circuit);
+        let stats_start = Instant::now();
         let circuit = if self.config.transpiled_stats && n_reduced > 0 {
             let mut wide = Circuit::new(n_reduced + 2);
             for g in final_circuit.gates() {
@@ -690,6 +691,7 @@ impl ChocoQSolver {
         } else {
             circuit_stats(&final_circuit, vec![], false)?
         };
+        timing.compile += stats_start.elapsed();
 
         Ok(SolveOutcome {
             counts: merged,

@@ -74,13 +74,13 @@ impl Circuit {
     ///
     /// Panics if the gate references a qubit `>= n_qubits`.
     pub fn push(&mut self, gate: Gate) -> &mut Self {
-        for q in gate.qubits() {
+        gate.for_each_qubit(|q| {
             assert!(
                 q < self.n_qubits,
                 "gate {gate} references qubit q{q} outside the {}-qubit circuit",
                 self.n_qubits
             );
-        }
+        });
         self.gates.push(gate);
         self
     }
@@ -115,16 +115,11 @@ impl Circuit {
     /// for deployable-depth numbers).
     pub fn depth(&self) -> usize {
         let mut level = vec![0usize; self.n_qubits];
-        let mut depth = 0;
-        for g in &self.gates {
-            let qs = g.qubits();
-            let start = qs.iter().map(|&q| level[q]).max().unwrap_or(0);
-            for &q in &qs {
-                level[q] = start + 1;
-            }
-            depth = depth.max(start + 1);
-        }
-        depth
+        self.gates
+            .iter()
+            .map(|g| schedule(&mut level, g))
+            .max()
+            .unwrap_or(0)
     }
 
     /// Gate histogram keyed by mnemonic.
@@ -253,6 +248,16 @@ impl Circuit {
         }
         self
     }
+}
+
+/// ASAP-schedules `gate` on the per-qubit frontier `level` (the first free
+/// layer of each qubit) and returns the layer count it ends at; a circuit's
+/// depth is the largest value over its gates.
+pub(crate) fn schedule(level: &mut [usize], gate: &Gate) -> usize {
+    let mut start = 0;
+    gate.for_each_qubit(|q| start = start.max(level[q]));
+    gate.for_each_qubit(|q| level[q] = start + 1);
+    start + 1
 }
 
 impl fmt::Display for Circuit {

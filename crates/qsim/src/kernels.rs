@@ -354,7 +354,7 @@ fn gated_pair_loop<P, Op>(
 /// every pair. The dense engine and the compact plan replay both evaluate
 /// these expressions and no others, so their amplitudes are bit-identical
 /// by construction — including degenerate angles, where `Rx(0)` takes the
-/// diagonal branch and `Rx(π)` the anti-diagonal one.
+/// diagonal branch and every other `Rx` the rotation one.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum PairKernel {
     /// Permutation gates: swap the two slots.
@@ -387,7 +387,10 @@ impl PairKernel {
     }
 
     /// Classifies a 2×2 matrix by its values: diagonal, anti-diagonal,
-    /// all-real or general.
+    /// the rotation `[[c, −is], [−is, c]]` (e.g. `Rx`, a commute block's
+    /// two-level synthesis), all-real or general. The rotation expression
+    /// equals the general one on every non-zero output; only the sign of an
+    /// exact zero can differ.
     #[inline]
     pub(crate) fn of_matrix(m: [[Complex64; 2]; 2]) -> PairKernel {
         if m[0][1] == Complex64::ZERO && m[1][0] == Complex64::ZERO {
@@ -399,6 +402,12 @@ impl PairKernel {
             PairKernel::AntiDiag {
                 m01: m[0][1],
                 m10: m[1][0],
+            }
+        } else if m[0][0] == m[1][1] && m[0][1] == m[1][0] && m[0][0].im == 0.0 && m[0][1].re == 0.0
+        {
+            PairKernel::Rot {
+                sin: -m[0][1].im,
+                cos: m[0][0].re,
             }
         } else if m.iter().flatten().all(|c| c.im == 0.0) {
             PairKernel::Real {
@@ -533,14 +542,60 @@ pub(crate) fn accumulate_poly_diag(values: &mut [f64], poly: &crate::phasepoly::
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::Gate;
     use crate::phasepoly::PhasePoly;
     use choco_mathkit::c64;
+    use std::f64::consts::PI;
 
     fn test_config(threads: usize) -> SimConfig {
         SimConfig {
             threads,
             parallel_threshold: 1, // force threading even on tiny states
             ..SimConfig::default()
+        }
+    }
+
+    #[test]
+    fn rx_rotation_kernel_matches_the_full_expression() {
+        // `Rx` classifies as `Rot`; on every non-zero output component it
+        // must equal the general complex 2×2 bit for bit (zeros may differ
+        // in sign only).
+        let mut rng = choco_mathkit::SplitMix64::new(7);
+        let mut angles = vec![0.0, -0.0, PI, -PI, 2.0 * PI, PI / 2.0];
+        angles.extend((0..200).map(|_| rng.gen_range_f64(-10.0, 10.0)));
+        let amp = |rng: &mut choco_mathkit::SplitMix64| {
+            let mut part = || match rng.gen_range(0, 4) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => rng.gen_range_f64(-1.0, 1.0),
+            };
+            c64(part(), part())
+        };
+        for theta in angles {
+            let m = Gate::Rx(0, theta).matrix_1q().unwrap();
+            let kernel = PairKernel::of_matrix(m);
+            if theta == 0.0 {
+                assert!(matches!(kernel, PairKernel::Diag { .. }), "{theta}");
+                continue;
+            }
+            assert!(matches!(kernel, PairKernel::Rot { .. }), "{theta}");
+            for _ in 0..50 {
+                let (a, b) = (amp(&mut rng), amp(&mut rng));
+                let (r0, r1) = kernel.apply(a, b);
+                let (f0, f1) = PairKernel::Full { m }.apply(a, b);
+                for (got, want) in [
+                    (r0.re, f0.re),
+                    (r0.im, f0.im),
+                    (r1.re, f1.re),
+                    (r1.im, f1.im),
+                ] {
+                    if want == 0.0 {
+                        assert_eq!(got, 0.0, "theta={theta} a={a} b={b}");
+                    } else {
+                        assert_eq!(got.to_bits(), want.to_bits(), "theta={theta} a={a} b={b}");
+                    }
+                }
+            }
         }
     }
 

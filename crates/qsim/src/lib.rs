@@ -75,5 +75,8 @@ pub use state::StateVector;
 pub use synth::{
     circuit_unitary, two_level_decompose, SynthCost, TwoLevelDecomposition, TwoLevelOp,
 };
-pub use transpile::{transpile, zyz_decompose, TranspileError, TranspileOptions, TwoQubitBasis};
+pub use transpile::{
+    transpile, transpiled_stats, zyz_decompose, TranspileError, TranspileOptions, TranspiledStats,
+    TwoQubitBasis,
+};
 pub use workspace::{ForkedBatch, PlanCache, PlanCacheStats, SimWorkspace};

@@ -155,19 +155,41 @@ impl PhasePoly {
 
     /// The variables with any non-zero coefficient (sorted).
     pub fn support(&self) -> Vec<usize> {
-        let mut used = vec![false; self.n_vars];
+        let mut support = Vec::new();
+        self.for_each_support(|i| support.push(i));
+        support
+    }
+
+    /// Calls `f` on every variable of [`PhasePoly::support`], in order;
+    /// allocation-free up to 64 variables.
+    pub(crate) fn for_each_support(&self, mut f: impl FnMut(usize)) {
+        if self.n_vars > 64 {
+            let mut used = vec![false; self.n_vars];
+            self.mark_support(|i| used[i] = true);
+            (0..self.n_vars).filter(|&i| used[i]).for_each(f);
+            return;
+        }
+        let mut used = 0u64;
+        self.mark_support(|i| used |= 1 << i);
+        while used != 0 {
+            f(used.trailing_zeros() as usize);
+            used &= used - 1;
+        }
+    }
+
+    /// Calls `mark` on each variable of a non-zero term, repeats included.
+    fn mark_support(&self, mut mark: impl FnMut(usize)) {
         for (i, &w) in self.linear.iter().enumerate() {
             if w != 0.0 {
-                used[i] = true;
+                mark(i);
             }
         }
         for &(i, j, w) in &self.quadratic {
             if w != 0.0 {
-                used[i] = true;
-                used[j] = true;
+                mark(i);
+                mark(j);
             }
         }
-        (0..self.n_vars).filter(|&i| used[i]).collect()
     }
 
     /// Number of non-zero linear + quadratic terms.

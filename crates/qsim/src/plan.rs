@@ -1087,7 +1087,17 @@ mod tests {
         c.push(Gate::ControlledU {
             controls: vec![0],
             target: 2,
-            matrix: Gate::Rx(2, 0.4).matrix_1q().unwrap(), // general complex
+            matrix: Gate::Rx(2, 0.4).matrix_1q().unwrap(), // rotation
+        });
+        let h = std::f64::consts::FRAC_1_SQRT_2;
+        c.push(Gate::ControlledU {
+            controls: vec![1],
+            target: 0,
+            // general complex
+            matrix: [
+                [Complex64::new(h, 0.0), Complex64::new(0.0, -h)],
+                [Complex64::new(h, 0.0), Complex64::new(0.0, h)],
+            ],
         });
         let (plan, amps) = replay_matches_dense(&c);
         let oracle = crate::oracle::ScalarStateVector::run(&c);

@@ -19,9 +19,14 @@
 //!
 //! Every lowering is exact (no Trotter error); equivalence against the
 //! structured simulator path is enforced by tests.
+//!
+//! One loop does all the lowering and hands each basic gate to a sink:
+//! [`transpile`] collects the gates into a [`Circuit`], and
+//! [`transpiled_stats`] only counts them (depth, gates, two-qubit gates)
+//! without holding any.
 
-use crate::circuit::Circuit;
-use crate::gate::{Gate, ShiftBlock, UBlock};
+use crate::circuit::{schedule, Circuit};
+use crate::gate::{Gate, ShiftBlock};
 use choco_mathkit::{c64, Complex64};
 use std::fmt;
 
@@ -97,18 +102,97 @@ impl std::error::Error for TranspileError {}
 /// assert!(lowered.is_basic());
 /// ```
 pub fn transpile(circuit: &Circuit, opts: &TranspileOptions) -> Result<Circuit, TranspileError> {
-    let n = circuit.n_qubits();
-    let mut out = Circuit::new(n);
-    let mut stack: Vec<Gate> = circuit.gates().iter().rev().cloned().collect();
-    while let Some(g) = stack.pop() {
-        if is_target_basic(&g, opts.two_qubit) {
-            out.push(g);
-            continue;
-        }
-        let expansion = expand_one(&g, n, opts)?;
-        stack.extend(expansion.into_iter().rev());
-    }
+    let mut out = Circuit::new(circuit.n_qubits());
+    lower(circuit, opts, |g| {
+        out.push(g);
+    })?;
     Ok(out)
+}
+
+/// Size figures of a lowered circuit: what [`Circuit::depth`],
+/// [`Circuit::len`] and [`Circuit::multi_qubit_gate_count`] report on the
+/// output of [`transpile`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct TranspiledStats {
+    /// ASAP-scheduled depth.
+    pub depth: usize,
+    /// Number of basic gates.
+    pub gates: usize,
+    /// Number of two-qubit (CX or CZ) gates.
+    pub two_qubit_gates: usize,
+}
+
+/// The [`TranspiledStats`] of `transpile(circuit, opts)` without building
+/// the lowered circuit: the same lowering streams every basic gate into a
+/// per-qubit depth frontier and two counters, so memory stays
+/// `O(n_qubits)` however many gates the lowering emits.
+///
+/// # Errors
+///
+/// Exactly those of [`transpile`].
+///
+/// # Examples
+///
+/// ```
+/// use choco_qsim::{transpile, transpiled_stats, Circuit, TranspileOptions, UBlock};
+///
+/// let mut c = Circuit::new(5);
+/// c.ublock(UBlock::from_u_with_angle(&[-1, 1, -1], 0.8));
+/// let opts = TranspileOptions::with_ancillas(vec![3, 4]);
+/// let stats = transpiled_stats(&c, &opts).unwrap();
+/// let lowered = transpile(&c, &opts).unwrap();
+/// assert_eq!(stats.depth, lowered.depth());
+/// assert_eq!(stats.gates, lowered.len());
+/// assert_eq!(stats.two_qubit_gates, lowered.multi_qubit_gate_count());
+/// ```
+pub fn transpiled_stats(
+    circuit: &Circuit,
+    opts: &TranspileOptions,
+) -> Result<TranspiledStats, TranspileError> {
+    let mut level = vec![0usize; circuit.n_qubits()];
+    let mut stats = TranspiledStats::default();
+    lower(circuit, opts, |g| {
+        stats.depth = stats.depth.max(schedule(&mut level, &g));
+        stats.gates += 1;
+        if g.arity() >= 2 {
+            stats.two_qubit_gates += 1;
+        }
+    })?;
+    Ok(stats)
+}
+
+/// The lowering loop behind both [`transpile`] and [`transpiled_stats`]:
+/// expands each gate of `circuit` depth-first, in order, and hands every
+/// basic gate to `emit`. Expansions go through one reused buffer onto a
+/// work stack, so the loop allocates only for the index lists that
+/// intermediate multi-qubit gates carry.
+fn lower(
+    circuit: &Circuit,
+    opts: &TranspileOptions,
+    mut emit: impl FnMut(Gate),
+) -> Result<(), TranspileError> {
+    let n = circuit.n_qubits();
+    let mut stack: Vec<Gate> = Vec::new();
+    let mut expansion: Vec<Gate> = Vec::new();
+    for gate in circuit.gates() {
+        stack.push(gate.clone());
+        while let Some(g) = stack.pop() {
+            if is_target_basic(&g, opts.two_qubit) {
+                emit(g);
+                continue;
+            }
+            expand_one(&g, n, opts, &mut expansion)?;
+            // A basic prefix goes straight to the sink; the rest waits on
+            // the stack, last gate deepest.
+            let prefix = expansion
+                .iter()
+                .position(|g| !is_target_basic(g, opts.two_qubit))
+                .unwrap_or(expansion.len());
+            expansion.drain(..prefix).for_each(&mut emit);
+            stack.extend(expansion.drain(..).rev());
+        }
+    }
+    Ok(())
 }
 
 fn is_target_basic(g: &Gate, basis: TwoQubitBasis) -> bool {
@@ -119,13 +203,14 @@ fn is_target_basic(g: &Gate, basis: TwoQubitBasis) -> bool {
     }
 }
 
-/// Expands one non-basic gate into (possibly still non-basic) gates.
+/// Appends the expansion of one non-basic gate (possibly into still
+/// non-basic gates) to `out`.
 fn expand_one(
     g: &Gate,
     n_qubits: usize,
     opts: &TranspileOptions,
-) -> Result<Vec<Gate>, TranspileError> {
-    let mut out = Vec::new();
+    out: &mut Vec<Gate>,
+) -> Result<(), TranspileError> {
     match g {
         Gate::Cx(c, t) => {
             // CZ basis: CX = H(t) · CZ · H(t)
@@ -150,28 +235,24 @@ fn expand_one(
             out.push(Gate::Cx(*b, *a));
             out.push(Gate::Cx(*a, *b));
         }
-        Gate::Ccx(c1, c2, t) => emit_ccx(&mut out, *c1, *c2, *t),
+        Gate::Ccx(c1, c2, t) => emit_ccx(out, *c1, *c2, *t),
         Gate::Mcx { controls, target } => {
-            emit_mcx(&mut out, controls, *target, n_qubits, opts)?;
+            emit_mcx(out, controls, *target, n_qubits, opts)?;
         }
         Gate::McPhase { qubits, angle } => {
-            emit_mcphase(&mut out, qubits, *angle, n_qubits, opts)?;
+            emit_mcphase(out, qubits, *angle, n_qubits, opts)?;
         }
         Gate::ControlledU {
             controls,
             target,
             matrix,
-        } => emit_controlled_u(&mut out, controls, *target, *matrix, n_qubits, opts)?,
-        Gate::UBlock(b) => emit_ublock(&mut out, b),
-        Gate::ShiftBlock(b) => emit_shiftblock(&mut out, b),
+        } => emit_controlled_u(out, controls, *target, *matrix, n_qubits, opts)?,
+        Gate::UBlock(b) => emit_ublock(out, &b.support, b.pattern, b.angle),
+        Gate::ShiftBlock(b) => emit_shiftblock(out, b),
         Gate::XyMix(a, b, theta) => {
             // XX+YY pair term = UBlock on {|01⟩,|10⟩} with doubled angle.
             let (lo, hi) = if a < b { (*a, *b) } else { (*b, *a) };
-            out.push(Gate::UBlock(UBlock {
-                support: vec![lo, hi],
-                pattern: 0b01,
-                angle: 2.0 * theta,
-            }));
+            emit_ublock(out, &[lo, hi], 0b01, 2.0 * theta);
         }
         Gate::DiagPhase(poly, theta) => {
             for (i, &w) in poly.linear().iter().enumerate() {
@@ -188,45 +269,52 @@ fn expand_one(
         }
         basic => out.push(basic.clone()),
     }
-    Ok(out)
+    Ok(())
+}
+
+/// Appends the inverses of `out[start..end]` in reverse order: the
+/// uncompute half of a conjugation `V · core · V†`.
+fn push_inverse(out: &mut Vec<Gate>, start: usize, end: usize) {
+    for i in (start..end).rev() {
+        let inv = out[i].inverse();
+        out.push(inv);
+    }
 }
 
 /// Lemma 2: `e^{-iβHc(u)} = G† P(β) X₁ P(−β) X₁ G` with `G` from
-/// Algorithm 1. Single-qubit blocks reduce to `Rx(2β)` since `Hc = X`.
-fn emit_ublock(out: &mut Vec<Gate>, b: &UBlock) {
-    let k = b.support.len();
+/// Algorithm 1, for the block coupling `pattern` (over `support`) with
+/// its complement. Single-qubit blocks reduce to `Rx(2β)` since `Hc = X`.
+fn emit_ublock(out: &mut Vec<Gate>, support: &[usize], pattern: u64, angle: f64) {
+    let k = support.len();
     if k == 1 {
-        out.push(Gate::Rx(b.support[0], 2.0 * b.angle));
+        out.push(Gate::Rx(support[0], 2.0 * angle));
         return;
     }
-    let v = |idx: usize| (b.pattern >> idx) & 1;
+    let v = |idx: usize| (pattern >> idx) & 1;
     // --- G (Algorithm 1): walk i = k-1 .. 1, CX(s[i-1] → s[i]), X fix-up
     // when v_i == v_{i-1}; finish with H on the first support qubit.
-    let mut g_gates: Vec<Gate> = Vec::new();
+    let g_start = out.len();
     for i in (1..k).rev() {
-        g_gates.push(Gate::Cx(b.support[i - 1], b.support[i]));
+        out.push(Gate::Cx(support[i - 1], support[i]));
         if v(i) == v(i - 1) {
-            g_gates.push(Gate::X(b.support[i]));
+            out.push(Gate::X(support[i]));
         }
     }
-    g_gates.push(Gate::H(b.support[0]));
-
-    out.extend(g_gates.iter().cloned());
+    out.push(Gate::H(support[0]));
+    let g_end = out.len();
     // --- core: X₁ P(−β) X₁ P(β)  (applied left-to-right).
-    out.push(Gate::X(b.support[0]));
+    out.push(Gate::X(support[0]));
     out.push(Gate::McPhase {
-        qubits: b.support.clone(),
-        angle: -b.angle,
+        qubits: support.to_vec(),
+        angle: -angle,
     });
-    out.push(Gate::X(b.support[0]));
+    out.push(Gate::X(support[0]));
     out.push(Gate::McPhase {
-        qubits: b.support.clone(),
-        angle: b.angle,
+        qubits: support.to_vec(),
+        angle,
     });
     // --- G†: reversed inverses.
-    for g in g_gates.iter().rev() {
-        out.push(g.inverse());
-    }
+    push_inverse(out, g_start, g_end);
 }
 
 /// Generalized commute block with slack registers: one exact two-level
@@ -236,14 +324,7 @@ fn emit_ublock(out: &mut Vec<Gate>, b: &UBlock) {
 /// exactly (no Trotter error).
 fn emit_shiftblock(out: &mut Vec<Gate>, b: &ShiftBlock) {
     if b.shifts.is_empty() {
-        emit_ublock(
-            out,
-            &UBlock {
-                support: b.support.clone(),
-                pattern: b.pattern,
-                angle: b.angle,
-            },
-        );
+        emit_ublock(out, &b.support, b.pattern, b.angle);
         return;
     }
     let mut footprint: Vec<usize> = b.support.clone();
@@ -299,13 +380,13 @@ fn emit_two_level(
     // After CX(t → d) on every other differing bit d, the images of p and
     // q agree everywhere except on t; differing bits then carry
     // `p_d ^ p_t`, common bits keep `p_d`.
-    let mut pre: Vec<Gate> = Vec::new();
+    let pre_start = out.len();
     for &d in footprint {
         if d != t && (diff >> d) & 1 == 1 {
-            pre.push(Gate::Cx(t, d));
+            out.push(Gate::Cx(t, d));
         }
     }
-    let mut controls: Vec<usize> = Vec::new();
+    let mut controls: Vec<usize> = Vec::with_capacity(footprint.len());
     for &d in footprint {
         if d == t {
             continue;
@@ -316,19 +397,17 @@ fn emit_two_level(
             (p >> d) & 1
         };
         if val == 0 {
-            pre.push(Gate::X(d));
+            out.push(Gate::X(d));
         }
         controls.push(d);
     }
-    out.extend(pre.iter().cloned());
+    let pre_end = out.len();
     out.push(Gate::ControlledU {
         controls,
         target: t,
         matrix,
     });
-    for g in pre.iter().rev() {
-        out.push(g.inverse());
-    }
+    push_inverse(out, pre_start, pre_end);
 }
 
 /// Standard exact Toffoli: 6 CX + 9 single-qubit T/H gates.
@@ -350,30 +429,55 @@ fn emit_ccx(out: &mut Vec<Gate>, c1: usize, c2: usize, t: usize) {
     out.push(Gate::Cx(c1, c2));
 }
 
-/// Qubits not mentioned in `used`, split into (clean ancillas, borrowable).
-fn spare_qubits(
-    used: &[usize],
-    n_qubits: usize,
-    opts: &TranspileOptions,
-) -> (Vec<usize>, Vec<usize>) {
-    let mut is_used = vec![false; n_qubits];
-    for &q in used {
-        is_used[q] = true;
+/// Bitmask of `qubits`.
+fn mask_of(qubits: &[usize]) -> u64 {
+    qubits.iter().fold(0, |m, &q| m | 1 << q)
+}
+
+/// The qubits a multi-controlled lowering may use besides the gate's own
+/// (`used`): the clean ancillas of `opts` first, in order and each once,
+/// then every other qubit, which can only be borrowed (any state, restored
+/// after use). Held inline: circuits have at most 30 qubits.
+struct Spares {
+    qubits: [usize; 64],
+    clean: usize,
+    len: usize,
+}
+
+impl Spares {
+    fn new(used: u64, n_qubits: usize, opts: &TranspileOptions) -> Spares {
+        let mut spares = Spares {
+            qubits: [0; 64],
+            clean: 0,
+            len: 0,
+        };
+        let mut taken = used;
+        let mut take = |spares: &mut Spares, q: usize| {
+            if (taken >> q) & 1 == 0 {
+                taken |= 1 << q;
+                spares.qubits[spares.len] = q;
+                spares.len += 1;
+            }
+        };
+        for &a in opts.ancillas.iter().filter(|&&a| a < n_qubits) {
+            take(&mut spares, a);
+        }
+        spares.clean = spares.len;
+        for q in 0..n_qubits {
+            take(&mut spares, q);
+        }
+        spares
     }
-    let clean: Vec<usize> = opts
-        .ancillas
-        .iter()
-        .copied()
-        .filter(|&a| a < n_qubits && !is_used[a])
-        .collect();
-    let mut is_clean = vec![false; n_qubits];
-    for &a in &clean {
-        is_clean[a] = true;
+
+    /// The clean ancillas.
+    fn clean(&self) -> &[usize] {
+        &self.qubits[..self.clean]
     }
-    let dirty: Vec<usize> = (0..n_qubits)
-        .filter(|&q| !is_used[q] && !is_clean[q])
-        .collect();
-    (clean, dirty)
+
+    /// Clean ancillas, then borrowable qubits.
+    fn all(&self) -> &[usize] {
+        &self.qubits[..self.len]
+    }
 }
 
 /// Multi-controlled X. Chooses between the clean-ancilla Toffoli chain
@@ -402,35 +506,29 @@ fn emit_mcx(
         }
         _ => {}
     }
-    let mut used = controls.to_vec();
-    used.push(target);
-    let (clean, dirty) = spare_qubits(&used, n_qubits, opts);
+    let spares = Spares::new(mask_of(controls) | 1 << target, n_qubits, opts);
 
-    if clean.len() >= m - 2 {
+    if spares.clean().len() >= m - 2 {
         // Toffoli chain with clean ancillas: compute the AND cascade,
         // flip the target, uncompute. 2(m−2)+1 CCX.
-        let anc = &clean[..m - 2];
-        let mut compute: Vec<Gate> = Vec::new();
-        compute.push(Gate::Ccx(controls[0], controls[1], anc[0]));
+        let anc = &spares.clean()[..m - 2];
+        let start = out.len();
+        out.push(Gate::Ccx(controls[0], controls[1], anc[0]));
         for i in 2..m - 1 {
-            compute.push(Gate::Ccx(controls[i], anc[i - 2], anc[i - 1]));
+            out.push(Gate::Ccx(controls[i], anc[i - 2], anc[i - 1]));
         }
-        out.extend(compute.iter().cloned());
+        let end = out.len();
         out.push(Gate::Ccx(controls[m - 1], anc[m - 3], target));
-        for g in compute.iter().rev() {
-            out.push(g.inverse());
-        }
+        push_inverse(out, start, end);
         Ok(())
-    } else if clean.len() + dirty.len() >= m - 2 {
+    } else if spares.all().len() >= m - 2 {
         // V-chain with *borrowed* ancillas (arbitrary state, restored):
         // the doubled-wedge network, 4(m−2) CCX — this is what keeps the
         // commute-block decomposition linear even with only the paper's two
         // clean ancillas, by borrowing idle problem qubits.
-        let mut anc: Vec<usize> = clean.iter().copied().chain(dirty.iter().copied()).collect();
-        anc.truncate(m - 2);
-        emit_mcx_dirty_vchain(out, controls, target, &anc);
+        emit_mcx_dirty_vchain(out, controls, target, &spares.all()[..m - 2]);
         Ok(())
-    } else if let Some(&borrow) = clean.first().or(dirty.first()) {
+    } else if let Some(&borrow) = spares.all().first() {
         // Barenco split: C^m X = A·B·A·B with A = C^{m1}X(first half → borrow)
         // and B = C^{m2+1}X(second half + borrow → target). Works for any
         // state of `borrow` and restores it.
@@ -543,8 +641,8 @@ fn emit_mcphase(
         });
         return Ok(());
     }
-    let (clean, _) = spare_qubits(qubits, n_qubits, opts);
-    let Some(&a) = clean.first() else {
+    let spares = Spares::new(mask_of(qubits), n_qubits, opts);
+    let Some(&a) = spares.clean().first() else {
         return Err(TranspileError::NeedsAncilla {
             gate: format!("mcp({angle:.4}) {qubits:?}"),
         });
@@ -631,10 +729,8 @@ fn emit_controlled_u(
             Ok(())
         }
         _ => {
-            let mut used = controls.to_vec();
-            used.push(target);
-            let (clean, _) = spare_qubits(&used, n_qubits, opts);
-            let Some(&a) = clean.first() else {
+            let spares = Spares::new(mask_of(controls) | 1 << target, n_qubits, opts);
+            let Some(&a) = spares.clean().first() else {
                 return Err(TranspileError::NeedsAncilla {
                     gate: format!("cu {controls:?} -> q{target}"),
                 });
@@ -660,6 +756,7 @@ fn emit_controlled_u(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::UBlock;
     use crate::phasepoly::PhasePoly;
     use crate::state::StateVector;
     use choco_mathkit::c64;

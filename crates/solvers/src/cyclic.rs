@@ -181,9 +181,10 @@ impl CyclicQaoaSolver {
         if result.deadline_exceeded {
             return Err(SolverError::Timeout);
         }
+        let stats_start = Instant::now();
         let circuit = circuit_stats(&result.final_circuit, vec![], self.config.transpiled_stats)?;
         let mut timing = result.timing;
-        timing.compile = compile;
+        timing.compile = compile + stats_start.elapsed();
         Ok(SolveOutcome {
             counts: result.counts,
             cost_history: result.cost_history,

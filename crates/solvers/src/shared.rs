@@ -4,8 +4,8 @@
 use choco_model::{CircuitStats, SolverError, TimingBreakdown};
 use choco_optim::OptimizerKind;
 use choco_qsim::{
-    transpile, Circuit, Counts, EngineKind, NoiseModel, PhasePoly, SimConfig, SimWorkspace,
-    TranspileOptions, MAX_COMPACT_QUBITS,
+    transpile, transpiled_stats, Circuit, Counts, EngineKind, NoiseModel, PhasePoly, SimConfig,
+    SimWorkspace, TranspileOptions, MAX_COMPACT_QUBITS,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -451,7 +451,9 @@ pub fn sample_transpiled_noisy<R: rand::Rng>(
     Ok(raw.map_bits(|bits| bits & mask))
 }
 
-/// Fills in transpiled statistics for a final circuit when requested.
+/// Fills in transpiled statistics for a final circuit when requested. The
+/// lowered circuit is only counted, never built (see
+/// [`choco_qsim::transpiled_stats`]).
 pub fn circuit_stats(
     circuit: &Circuit,
     ancillas: Vec<usize>,
@@ -465,11 +467,11 @@ pub fn circuit_stats(
         two_qubit_gates: None,
     };
     if want_transpiled {
-        let lowered = transpile(circuit, &TranspileOptions::with_ancillas(ancillas))
+        let lowered = transpiled_stats(circuit, &TranspileOptions::with_ancillas(ancillas))
             .map_err(|e| SolverError::Transpile(e.to_string()))?;
-        stats.transpiled_depth = Some(lowered.depth());
-        stats.transpiled_gates = Some(lowered.len());
-        stats.two_qubit_gates = Some(lowered.multi_qubit_gate_count());
+        stats.transpiled_depth = Some(lowered.depth);
+        stats.transpiled_gates = Some(lowered.gates);
+        stats.two_qubit_gates = Some(lowered.two_qubit_gates);
     }
     Ok(stats)
 }

@@ -23,7 +23,8 @@ use choco_q::core::{ChocoQSolver, CommuteDriver};
 use choco_q::mathkit::{Complex64, SplitMix64};
 use choco_q::model::Problem;
 use choco_q::qsim::{
-    Circuit, EngineKind, Gate, PhasePoly, PlanCache, SimConfig, SimWorkspace, StateVector,
+    transpiled_stats, Circuit, EngineKind, Gate, PhasePoly, PlanCache, SimConfig, SimWorkspace,
+    StateVector, TranspileOptions,
 };
 use choco_q::runner::ProblemRef;
 use proptest::prelude::*;
@@ -574,4 +575,45 @@ fn warm_serial_and_batched_replays_allocate_nothing() {
     }
     assert_eq!(allocations() - before, 0, "warm forked batches allocated");
     assert!(total.is_finite());
+}
+
+#[test]
+fn transpiled_stats_of_a_native_circuit_barely_allocate() {
+    // Counting a lowering allocates only for the index lists that
+    // intermediate multi-qubit gates carry, never per emitted gate: on a
+    // register-gated native-inequality circuit (one two-level rotation per
+    // eligible register value, each lowered through multi-controlled X
+    // chains) that is under one allocation per ten emitted gates.
+    let problem = ProblemRef::parse("knapsack:6x10:native")
+        .expect("valid shape")
+        .build(3)
+        .expect("instance generates");
+    let driver = CommuteDriver::build(problem.constraints()).expect("driver");
+    let initial = driver.encode_state(problem.first_feasible().expect("feasible"));
+    let ordered = driver.ordered_terms(initial);
+    let params = ChocoQSolver::initial_params(1, ordered.len());
+    let poly = Arc::new(problem.cost_poly());
+    let circuit = ChocoQSolver::build_circuit(&driver, &poly, &ordered, initial, 1, &params);
+    // Widened by the paper's two clean ancillas, as the solver's
+    // statistics pass does.
+    let n = circuit.n_qubits();
+    let mut wide = Circuit::new(n + 2);
+    for g in circuit.gates() {
+        wide.push(g.clone());
+    }
+    let gated = wide
+        .gates()
+        .iter()
+        .filter(|g| matches!(g, Gate::ShiftBlock(b) if !b.shifts.is_empty()))
+        .count();
+    assert!(gated >= 3, "only {gated} register-gated blocks");
+    let opts = TranspileOptions::with_ancillas(vec![n, n + 1]);
+    let before = allocations();
+    let stats = transpiled_stats(&wide, &opts).expect("two clean ancillas suffice");
+    let allocated = allocations() - before;
+    assert!(
+        allocated * 10 < stats.gates as u64,
+        "{allocated} allocations for {} emitted gates",
+        stats.gates
+    );
 }
